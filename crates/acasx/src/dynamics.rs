@@ -70,7 +70,8 @@ impl VerticalDynamics {
     /// Enumerates the stochastic successor kinematics of one step: given
     /// relative altitude `h` (ft) and the two vertical rates (ft/s), and
     /// the advisory commanded this step, yields
-    /// `(h', own_rate', intruder_rate', probability)` tuples (9 of them).
+    /// `(h', own_rate', intruder_rate', probability)` tuples: the 3 × 3 own
+    /// and intruder noise outcomes, own-major.
     ///
     /// Altitude integrates trapezoidally: the step uses the average of the
     /// old and new rates.
@@ -80,23 +81,20 @@ impl VerticalDynamics {
         own_rate_fps: f64,
         intruder_rate_fps: f64,
         advisory: Advisory,
-    ) -> Vec<(f64, f64, f64, f64)> {
+    ) -> [(f64, f64, f64, f64); 9] {
         let response = self.own_response(own_rate_fps, advisory);
-        let mut out = Vec::with_capacity(9);
-        for (w0, p0) in Self::noise_kernel(self.own_noise_fps) {
+        let own_kernel = Self::noise_kernel(self.own_noise_fps);
+        let intruder_kernel = Self::noise_kernel(self.intruder_noise_fps);
+        std::array::from_fn(|k| {
+            let (w0, p0) = own_kernel[k / 3];
+            let (w1, p1) = intruder_kernel[k % 3];
             let own_next =
                 (response.next_rate_fps + w0).clamp(-self.max_rate_fps, self.max_rate_fps);
-            for (w1, p1) in Self::noise_kernel(self.intruder_noise_fps) {
-                let intr_next =
-                    (intruder_rate_fps + w1).clamp(-self.max_rate_fps, self.max_rate_fps);
-                let h_next = h_ft
-                    + 0.5
-                        * ((intruder_rate_fps + intr_next) - (own_rate_fps + own_next))
-                        * self.dt_s;
-                out.push((h_next, own_next, intr_next, p0 * p1));
-            }
-        }
-        out
+            let intr_next = (intruder_rate_fps + w1).clamp(-self.max_rate_fps, self.max_rate_fps);
+            let h_next = h_ft
+                + 0.5 * ((intruder_rate_fps + intr_next) - (own_rate_fps + own_next)) * self.dt_s;
+            (h_next, own_next, intr_next, p0 * p1)
+        })
     }
 }
 

@@ -11,8 +11,10 @@
 //!    decision stage ([`VerticalMdp`]),
 //! 2. assign costs to NMACs, alerts, strengthenings and reversals
 //!    ([`CostModel`]),
-//! 3. solve offline by dynamic programming ([`LogicTable::solve`], using
-//!    [`uavca_mdp::BackwardInduction`]) into a state → advisory cost table,
+//! 3. solve offline by dynamic programming ([`LogicTable::solve`], a
+//!    backward induction factored by the model's structure and
+//!    bit-identical to the generic [`uavca_mdp::BackwardInduction`]) into
+//!    a state → advisory cost table,
 //! 4. fly the table online ([`AcasXu`], a [`uavca_sim::CollisionAvoider`]):
 //!    estimate τ from the ADS-B geometry, interpolate the Q-table
 //!    multilinearly over `(h, ḣ_own, ḣ_int)` and bilinearly over τ, apply

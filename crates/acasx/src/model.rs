@@ -15,6 +15,22 @@ use crate::{AcasConfig, Advisory};
 ///
 /// τ is *not* part of the state: the model is solved stage-by-stage by
 /// backward induction, so the decision index is the time to CPA.
+///
+/// # Factored structure
+///
+/// [`crate::LogicTable::solve`] relies on two facts about this model, each
+/// guarded by a test of the same name in this module:
+///
+/// 1. `transitions_do_not_depend_on_the_previous_advisory`: the
+///    transitions of state `previous * grid_points + g` under action `a`
+///    are the same for all 7 previous advisories — the dynamics see only
+///    the kinematics and the action, and the next state's previous
+///    advisory is the action itself;
+/// 2. `rewards_do_not_depend_on_the_grid_point`: the reward of that state
+///    under `a` is `−CostModel::action_cost(previous, a)`, the same at
+///    every grid point `g`.
+///
+/// A model change that breaks either fact must change that solve too.
 #[derive(Debug, Clone)]
 pub struct VerticalMdp {
     config: AcasConfig,
@@ -52,6 +68,19 @@ impl VerticalMdp {
     pub fn decode_state(&self, state: usize) -> (Advisory, usize) {
         let gp = self.grid_points();
         (Advisory::from_index(state / gp), state % gp)
+    }
+
+    /// Coordinates `[h, ḣ_own, ḣ_int]` of kinematic grid point
+    /// `grid_flat`, read straight off the axes (the last axis varies
+    /// fastest in the flat index).
+    fn grid_coords(&self, grid_flat: usize) -> [f64; 3] {
+        let (h, own, intr) = (self.grid.axis(0), self.grid.axis(1), self.grid.axis(2));
+        let per_h = own.len() * intr.len();
+        [
+            h[grid_flat / per_h],
+            own[grid_flat % per_h / intr.len()],
+            intr[grid_flat % intr.len()],
+        ]
     }
 
     /// Terminal values at τ = 0 for every state: −NMAC cost inside the
@@ -92,12 +121,9 @@ impl Mdp for VerticalMdp {
 
     fn transitions_into(&self, state: usize, action: usize, out: &mut Vec<Transition>) {
         let (_previous, grid_flat) = self.decode_state(state);
-        let point = self.grid.point(grid_flat).expect("state index in range");
+        let [h, own, intr] = self.grid_coords(grid_flat);
         let advisory = Advisory::from_index(action);
-        let successors = self
-            .config
-            .dynamics
-            .successors(point[0], point[1], point[2], advisory);
+        let successors = self.config.dynamics.successors(h, own, intr, advisory);
         let next_sra_offset = advisory.index() * self.grid_points();
         let mut corners = uavca_mdp::InterpCorners::empty();
         for (h, own, intr, p) in successors {
@@ -166,6 +192,60 @@ mod tests {
             let ts = m.transitions(s, a);
             for t in ts {
                 assert_eq!(t.next_state / gp, a, "next sRA must equal the action taken");
+            }
+        }
+    }
+
+    #[test]
+    fn grid_coords_match_the_grid_points() {
+        let m = model();
+        for (flat, point) in m.grid().iter_points() {
+            assert_eq!(m.grid_coords(flat).to_vec(), point);
+        }
+    }
+
+    #[test]
+    fn transitions_do_not_depend_on_the_previous_advisory() {
+        let m = model();
+        let gp = m.grid_points();
+        let bits = |ts: &[Transition]| -> Vec<(usize, u64)> {
+            ts.iter()
+                .map(|t| (t.next_state, t.probability.to_bits()))
+                .collect()
+        };
+        let mut buf = Vec::new();
+        for g in 0..gp {
+            for a in 0..m.num_actions() {
+                buf.clear();
+                m.transitions_into(g, a, &mut buf);
+                let from_coc = bits(&buf);
+                for p in 1..Advisory::COUNT {
+                    buf.clear();
+                    m.transitions_into(p * gp + g, a, &mut buf);
+                    assert_eq!(
+                        bits(&buf),
+                        from_coc,
+                        "grid point {g} action {a} previous {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rewards_do_not_depend_on_the_grid_point() {
+        let m = model();
+        let gp = m.grid_points();
+        for p in 0..Advisory::COUNT {
+            for a in 0..m.num_actions() {
+                let at_first = m.reward(p * gp, a).to_bits();
+                for g in 1..gp {
+                    assert_eq!(
+                        m.reward(p * gp + g, a).to_bits(),
+                        at_first,
+                        "previous {p} action {a} grid point {g}"
+                    );
+                }
             }
         }
     }

@@ -2,7 +2,7 @@ use std::io;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use uavca_mdp::{BackwardInduction, InterpCorners, QTable, RectGrid};
+use uavca_mdp::{InterpCorners, Mdp, QTable, RectGrid};
 use uavca_sim::Sense;
 
 use crate::{AcasConfig, Advisory, AdvisorySet, VerticalMdp};
@@ -103,15 +103,86 @@ impl LogicTable {
     /// Generates the table by backward induction over the configured
     /// horizon — the "Optimization" arrow of the development-process
     /// figure. Runtime grows linearly in grid points × stages; the default
-    /// configuration solves in seconds in release builds.
+    /// configuration solves in well under a second in release builds.
+    ///
+    /// The induction is factored by the two structural facts documented on
+    /// [`VerticalMdp`]: transitions depend only on `(grid point, action)`,
+    /// so they are generated once (through [`VerticalMdp`]'s
+    /// `transitions_into`) and reused by every stage, and rewards depend
+    /// only on `(previous, action)`, so each stage computes one expectation
+    /// `E[g, a] = Σ p · V[next]` per grid point and action and writes
+    /// `Q(previous, g, a) = r(previous, a) + γ · E[g, a]` for all 7
+    /// previous advisories. The sums run in transition order and use the
+    /// same expressions as [`uavca_mdp::BackwardInduction`], so every Q
+    /// value is bit-identical to the generic solver's.
     pub fn solve(config: &AcasConfig) -> LogicTable {
+        const NA: usize = Advisory::COUNT;
+        // 9 successors, each interpolated over at most 2³ grid corners.
+        const MAX_ROW: usize = 9 * 8;
         let model = VerticalMdp::new(config.clone());
-        let terminal = model.terminal_values();
-        let solution = BackwardInduction::new()
-            .solve(&model, config.num_stages(), terminal)
-            .expect("model construction guarantees a well-formed MDP");
-        Self::from_parts(config.clone(), model.grid().clone(), solution.stage_q)
-            .expect("backward induction produces consistently shaped stages")
+        let gp = model.grid_points();
+        let states_per_stage = NA * gp;
+        let gamma = model.discount();
+
+        // Row `g * NA + a` holds the transitions of grid point `g` under
+        // action `a` (previous advisory COC: state index `g`). Reserving the
+        // upper bound avoids `Vec` doubling; untouched pages stay
+        // non-resident.
+        let rows = gp * NA;
+        let mut offsets = Vec::with_capacity(rows + 1);
+        let mut next = Vec::with_capacity(rows * MAX_ROW);
+        let mut prob = Vec::with_capacity(rows * MAX_ROW);
+        offsets.push(0);
+        let mut scratch = Vec::with_capacity(MAX_ROW);
+        for g in 0..gp {
+            for a in 0..NA {
+                scratch.clear();
+                model.transitions_into(g, a, &mut scratch);
+                for t in &scratch {
+                    next.push(u32::try_from(t.next_state).expect("state count fits in u32"));
+                    prob.push(t.probability);
+                }
+                offsets.push(next.len());
+            }
+        }
+        let reward: [[f64; NA]; NA] =
+            std::array::from_fn(|p| std::array::from_fn(|a| model.reward(p * gp, a)));
+
+        let num_stages = config.num_stages();
+        let stage_len = states_per_stage * NA;
+        let mut q = vec![0.0; num_stages * stage_len];
+        let mut values = model.terminal_values();
+        let mut next_values = vec![0.0; states_per_stage];
+        for stage in q.chunks_exact_mut(stage_len) {
+            for g in 0..gp {
+                let mut expect = [0.0; NA];
+                let bounds = offsets[g * NA..=(g + 1) * NA].windows(2);
+                for (e, bound) in expect.iter_mut().zip(bounds) {
+                    let (lo, hi) = (bound[0], bound[1]);
+                    let mut acc = 0.0;
+                    for (&n, &p) in next[lo..hi].iter().zip(&prob[lo..hi]) {
+                        acc += p * values[n as usize];
+                    }
+                    *e = acc;
+                }
+                for (p, r) in reward.iter().enumerate() {
+                    let s = p * gp + g;
+                    let row = &mut stage[s * NA..(s + 1) * NA];
+                    for ((slot, &r), &e) in row.iter_mut().zip(r).zip(&expect) {
+                        *slot = r + gamma * e;
+                    }
+                    next_values[s] = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                }
+            }
+            std::mem::swap(&mut values, &mut next_values);
+        }
+        LogicTable {
+            config: config.clone(),
+            grid: model.grid().clone(),
+            num_stages,
+            states_per_stage,
+            q,
+        }
     }
 
     /// Packs per-stage Q-tables into the contiguous stage-major buffer,

@@ -1,11 +1,11 @@
 //! Criterion bench: dynamic-programming solve throughput (CLAIM-VI-TIME).
 //!
 //! Covers the toy 2-D model (value iteration to convergence) and the
-//! 3-D vertical-logic model (backward induction per stage) at several
-//! resolutions.
+//! 3-D vertical-logic model at several resolutions, solved both by the
+//! generic backward induction and by the factored `LogicTable::solve`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use uavca_acasx::{AcasConfig, VerticalMdp};
+use uavca_acasx::{AcasConfig, LogicTable, VerticalMdp};
 use uavca_ca2d::{build_mdp, Ca2dConfig};
 use uavca_mdp::{BackwardInduction, SweepOrder, ValueIteration};
 
@@ -45,10 +45,9 @@ fn bench_toy_gauss_seidel(c: &mut Criterion) {
     });
 }
 
-fn bench_acasx_backward_stage(c: &mut Criterion) {
-    let mut group = c.benchmark_group("acasx_backward_induction");
-    group.sample_size(10);
-    for (label, config) in [
+/// The vertical-logic configurations both solvers are timed on.
+fn acasx_configs() -> [(&'static str, AcasConfig); 2] {
+    [
         ("coarse", AcasConfig::coarse()),
         // bench a 5-stage slice of the default model, not the whole horizon
         (
@@ -58,7 +57,13 @@ fn bench_acasx_backward_stage(c: &mut Criterion) {
                 ..AcasConfig::default()
             },
         ),
-    ] {
+    ]
+}
+
+fn bench_acasx_backward_stage(c: &mut Criterion) {
+    let mut group = c.benchmark_group("acasx_backward_induction");
+    group.sample_size(10);
+    for (label, config) in acasx_configs() {
         let model = VerticalMdp::new(config.clone());
         let terminal = model.terminal_values();
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
@@ -72,10 +77,25 @@ fn bench_acasx_backward_stage(c: &mut Criterion) {
     group.finish();
 }
 
+/// The factored solve `LogicTable::solve` on the same configurations as
+/// the generic `acasx_backward_induction` cases, so the two read side by
+/// side.
+fn bench_acasx_table_solve(c: &mut Criterion) {
+    let mut group = c.benchmark_group("acasx_table_solve");
+    group.sample_size(10);
+    for (label, config) in acasx_configs() {
+        group.bench_function(BenchmarkId::from_parameter(label), |b| {
+            b.iter(|| LogicTable::solve(&config))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_toy_value_iteration,
     bench_toy_gauss_seidel,
-    bench_acasx_backward_stage
+    bench_acasx_backward_stage,
+    bench_acasx_table_solve
 );
 criterion_main!(benches);

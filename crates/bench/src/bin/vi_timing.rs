@@ -84,8 +84,8 @@ fn main() {
         );
     }
     println!(
-        "\nshape check (paper footnote 2): the full-resolution table solves in seconds-to-\
-         minutes on a laptop — comfortably inside the paper's <5 min budget"
+        "\nshape check (paper footnote 2): every resolution above solves far inside the \
+         paper's <5 min laptop budget"
     );
 }
 
