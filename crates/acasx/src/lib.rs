@@ -47,7 +47,6 @@
 #![deny(missing_debug_implementations)]
 
 mod advisory;
-mod cohort;
 mod config;
 mod cost;
 mod dynamics;
@@ -56,10 +55,9 @@ mod online;
 mod table;
 
 pub use advisory::{Advisory, AdvisorySet};
-pub use cohort::AcasXuCohort;
 pub use config::AcasConfig;
 pub use cost::CostModel;
 pub use dynamics::{OwnResponse, VerticalDynamics};
 pub use model::VerticalMdp;
 pub use online::{estimate_tau, AcasXu, TauEstimate};
-pub use table::{LogicTable, LookupScratch, StateBatch};
+pub use table::LogicTable;

@@ -1,9 +1,7 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use uavca_sim::{
-    AlphaBetaTracker, AvoiderContext, CollisionAvoider, ManeuverCommand, Sense, SenseSet,
-};
+use uavca_sim::{AlphaBetaTracker, AvoiderContext, CollisionAvoider, ManeuverCommand, SenseSet};
 
 use crate::{Advisory, AdvisorySet, LogicTable};
 
@@ -57,10 +55,9 @@ pub fn estimate_tau(rx: f64, ry: f64, vx: f64, vy: f64, dmod_ft: f64) -> TauEsti
 
 /// Whether the alerting entry criteria hold: τ within the table horizon
 /// and either the projected miss distance inside the protection threshold
-/// or the raw range inside DMOD. Shared by the scalar and cohort decision
-/// paths so their eligibility pruning is identical.
+/// or the raw range inside DMOD.
 #[inline]
-pub(crate) fn alerting_eligible(
+fn alerting_eligible(
     tau: &TauEstimate,
     horizon_s: f64,
     hmd_threshold_ft: f64,
@@ -77,20 +74,11 @@ pub(crate) fn alerting_eligible(
 /// restriction forbids it — reversals happen only when the peer claims our
 /// sense with priority. This is the TCAS-family anti-chattering rule;
 /// reversal costs in the offline table discourage but cannot forbid
-/// flapping in perfectly symmetric geometries.
+/// flapping in perfectly symmetric geometries. With *both* senses
+/// forbidden (possible only with ≥ 3 coordinating aircraft) the mask
+/// collapses to COC alone.
 #[inline]
-pub(crate) fn decision_mask(previous: Advisory, forbidden: Option<Sense>) -> AdvisorySet {
-    decision_mask_set(previous, SenseSet::from_option(forbidden))
-}
-
-/// [`decision_mask`] over a multi-party restriction set: identical rule,
-/// except that with *both* senses forbidden (possible only with ≥ 3
-/// coordinating aircraft) the mask collapses to COC alone. For sets of at
-/// most one sense this computes exactly what `decision_mask` computes —
-/// `SenseSet::from_option` is a bijection onto such sets — which is what
-/// keeps the k = 2 multi-aircraft path bit-identical to the pairwise one.
-#[inline]
-pub(crate) fn decision_mask_set(previous: Advisory, forbidden: SenseSet) -> AdvisorySet {
+fn decision_mask(previous: Advisory, forbidden: SenseSet) -> AdvisorySet {
     let locked = match previous.sense() {
         Some(s) if !forbidden.contains(s) => Some(s),
         _ => None,
@@ -110,7 +98,7 @@ pub(crate) fn decision_mask_set(previous: Advisory, forbidden: SenseSet) -> Advi
 /// advisory keeps its bonus only while alerting (COC gets none, so initial
 /// alerts are not delayed).
 #[inline]
-pub(crate) fn effective_hysteresis(previous: Advisory, bonus: f64) -> f64 {
+fn effective_hysteresis(previous: Advisory, bonus: f64) -> f64 {
     if previous.is_alert() {
         bonus
     } else {
@@ -119,10 +107,9 @@ pub(crate) fn effective_hysteresis(previous: Advisory, bonus: f64) -> f64 {
 }
 
 /// Converts a selected advisory into the command handed to the simulation
-/// (`None` for COC) — shared so the scalar and cohort paths emit identical
-/// maneuvers.
+/// (`None` for COC).
 #[inline]
-pub(crate) fn advisory_command(advisory: Advisory, own_rate_fps: f64) -> Option<ManeuverCommand> {
+fn advisory_command(advisory: Advisory, own_rate_fps: f64) -> Option<ManeuverCommand> {
     advisory.sense().map(|sense| ManeuverCommand {
         target_vertical_rate_fps: advisory
             .target_rate_fps(own_rate_fps)
@@ -245,7 +232,7 @@ impl AcasXu {
                 tau.tau_s,
                 self.previous,
                 self.prev_offset,
-                decision_mask_set(self.previous, forbidden),
+                decision_mask(self.previous, forbidden),
                 effective_hysteresis(self.previous, self.hysteresis_bonus),
             )
         } else {

@@ -7,58 +7,6 @@ use uavca_sim::Sense;
 
 use crate::{AcasConfig, Advisory, AdvisorySet, VerticalMdp};
 
-/// Reusable working memory for the batched lookup paths
-/// ([`LogicTable::q_values_batch`], [`LogicTable::best_advisory_batch`]).
-///
-/// One scratch per worker/avoider; the internal buffers are cleared and
-/// refilled on every batch call but keep their capacity, so steady-state
-/// batches perform zero heap allocation. A scratch carries no table state
-/// and may be used with any [`LogicTable`].
-#[derive(Debug, Clone, Default)]
-pub struct LookupScratch {
-    corners: Vec<InterpCorners>,
-}
-
-/// A structure-of-arrays view over a set of continuous lookup states: the
-/// `i`-th query is `(h_ft[i], own_rate_fps[i], intruder_rate_fps[i],
-/// tau_s[i], previous[i])`. All five slices must have equal length.
-#[derive(Debug, Clone, Copy)]
-pub struct StateBatch<'a> {
-    /// Relative altitude (intruder minus own), ft.
-    pub h_ft: &'a [f64],
-    /// Own-ship vertical rate, ft/s.
-    pub own_rate_fps: &'a [f64],
-    /// Intruder vertical rate, ft/s.
-    pub intruder_rate_fps: &'a [f64],
-    /// Time to closest point of approach, s.
-    pub tau_s: &'a [f64],
-    /// Advisory currently in force.
-    pub previous: &'a [Advisory],
-}
-
-impl StateBatch<'_> {
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.h_ft.len()
-    }
-
-    /// Whether the batch holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.h_ft.is_empty()
-    }
-
-    fn assert_coherent(&self) {
-        let n = self.len();
-        assert!(
-            self.own_rate_fps.len() == n
-                && self.intruder_rate_fps.len() == n
-                && self.tau_s.len() == n
-                && self.previous.len() == n,
-            "StateBatch slices must have equal lengths"
-        );
-    }
-}
-
 /// The offline product of the development process: the "logic table"
 /// (paper Fig. 1) mapping discretized encounter states to advisory costs.
 ///
@@ -299,8 +247,7 @@ impl LogicTable {
     }
 
     /// The full lookup for one query whose kinematic corners are already
-    /// interpolated — shared by the scalar and batched public paths, which
-    /// is what makes them bit-identical.
+    /// interpolated.
     ///
     /// The corner-outer / action-inner accumulation is explicitly unrolled
     /// over the 7 contiguous advisory lanes (see [`fma_row`]) and split into
@@ -393,70 +340,6 @@ impl LogicTable {
         self.q_values_at(&corners, tau_s, prev_offset)
     }
 
-    /// Batched [`q_values`](Self::q_values) over a structure-of-arrays
-    /// query set: interpolation brackets each grid axis once per query set,
-    /// Q rows are read contiguously per corner, and all working memory
-    /// comes from `scratch`/`out` (cleared, capacity reused — zero
-    /// steady-state allocation). Results are bit-identical to calling
-    /// [`q_values`](Self::q_values) per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch slices have unequal lengths.
-    pub fn q_values_batch(
-        &self,
-        batch: &StateBatch<'_>,
-        scratch: &mut LookupScratch,
-        out: &mut Vec<[f64; Advisory::COUNT]>,
-    ) {
-        batch.assert_coherent();
-        out.clear();
-        out.reserve(batch.len());
-        self.for_each_tile(batch, scratch, |table, corners, j| {
-            out.push(table.q_values_at(
-                corners,
-                batch.tau_s[j],
-                table.prev_offset(batch.previous[j]),
-            ));
-        });
-    }
-
-    /// Drives the tiled batch pipeline: queries are processed in
-    /// cache-sized tiles — per tile the grid brackets each axis once over
-    /// the whole tile (SoA, axis-major), then `consume(self, corners, j)`
-    /// runs per query `j`. Tiling keeps the interpolation-corner working
-    /// set L1-resident regardless of batch size; per-query results are
-    /// independent of the tile size.
-    #[inline]
-    fn for_each_tile(
-        &self,
-        batch: &StateBatch<'_>,
-        scratch: &mut LookupScratch,
-        mut consume: impl FnMut(&Self, &InterpCorners, usize),
-    ) {
-        /// 64 queries × ~264 B of corner state ≈ 17 KB: comfortably inside
-        /// L1 together with the Q rows the lookups pull in.
-        const LOOKUP_TILE: usize = 64;
-        let mut start = 0;
-        while start < batch.len() {
-            let end = (start + LOOKUP_TILE).min(batch.len());
-            self.grid
-                .interp_weights_batch_into(
-                    &[
-                        &batch.h_ft[start..end],
-                        &batch.own_rate_fps[start..end],
-                        &batch.intruder_rate_fps[start..end],
-                    ],
-                    &mut scratch.corners,
-                )
-                .expect("arity matches the 3-D grid");
-            for (i, corners) in scratch.corners.iter().enumerate() {
-                consume(self, corners, start + i);
-            }
-            start = end;
-        }
-    }
-
     /// The best advisory at a continuous state, with optional coordination
     /// masking (advisories whose sense equals `forbidden` are excluded;
     /// COC is always allowed) and advisory hysteresis: the previous
@@ -531,115 +414,16 @@ impl LogicTable {
         argmax_masked(&q, previous, allowed, hysteresis_bonus)
     }
 
-    /// Batched [`best_advisory`](Self::best_advisory) over a
-    /// structure-of-arrays query set: `forbidden[i]` is the coordination
-    /// restriction of query `i`. Element-for-element identical to the
-    /// scalar path; all working memory comes from `scratch`/`out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch slices or `forbidden` have unequal lengths.
-    pub fn best_advisory_batch(
-        &self,
-        batch: &StateBatch<'_>,
-        forbidden: &[Option<Sense>],
-        hysteresis_bonus: f64,
-        scratch: &mut LookupScratch,
-        out: &mut Vec<Advisory>,
-    ) {
-        batch.assert_coherent();
-        assert_eq!(
-            forbidden.len(),
-            batch.len(),
-            "forbidden mask must have one entry per query"
-        );
-        out.clear();
-        out.reserve(batch.len());
-        self.for_each_tile(batch, scratch, |table, corners, j| {
-            let previous = batch.previous[j];
-            let q = table.q_values_at(corners, batch.tau_s[j], table.prev_offset(previous));
-            out.push(argmax_masked(
-                &q,
-                previous,
-                AdvisorySet::for_restriction(forbidden[j]),
-                hysteresis_bonus,
-            ));
-        });
-    }
-
-    /// Batched [`best_advisory_masked`](Self::best_advisory_masked) with a
-    /// per-query advisory mask and hysteresis bonus — the per-tick query of
-    /// the cohort simulation engine, whose lanes each carry their own
-    /// coordination/sense-lock mask and alert state. Element-for-element
-    /// identical to the scalar path; all working memory comes from
-    /// `scratch`/`out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch slices, `allowed` or `hysteresis_bonus` have
-    /// unequal lengths.
-    pub fn best_advisory_batch_masked(
-        &self,
-        batch: &StateBatch<'_>,
-        allowed: &[AdvisorySet],
-        hysteresis_bonus: &[f64],
-        scratch: &mut LookupScratch,
-        out: &mut Vec<Advisory>,
-    ) {
-        batch.assert_coherent();
-        assert!(
-            allowed.len() == batch.len() && hysteresis_bonus.len() == batch.len(),
-            "per-query mask and hysteresis slices must have one entry per query"
-        );
-        out.clear();
-        out.reserve(batch.len());
-        self.for_each_tile(batch, scratch, |table, corners, j| {
-            let previous = batch.previous[j];
-            let q = table.q_values_at(corners, batch.tau_s[j], table.prev_offset(previous));
-            out.push(argmax_masked(&q, previous, allowed[j], hysteresis_bonus[j]));
-        });
-    }
-
     /// Renders an ASCII advisory map over relative altitude (rows, top =
     /// high) and τ (columns, left = far) for fixed vertical rates — the
     /// classic "policy plot" the ACAS X reports use to inspect generated
-    /// logic. Allocates its own scratch; see
-    /// [`render_advisory_map_with`](Self::render_advisory_map_with).
+    /// logic.
     ///
     /// Legend: `.` COC, `^`/`v` climb/descend 1500, `N`/`U` do-not-climb /
     /// do-not-descend, `+`/`-` strengthened climb/descend.
     pub fn render_advisory_map(&self, own_rate_fps: f64, intruder_rate_fps: f64) -> String {
-        self.render_advisory_map_with(
-            own_rate_fps,
-            intruder_rate_fps,
-            &mut LookupScratch::default(),
-        )
-    }
-
-    /// [`render_advisory_map`](Self::render_advisory_map) reusing a caller
-    /// scratch. Each altitude row is evaluated as one
-    /// [`best_advisory_batch`](Self::best_advisory_batch) over the τ
-    /// columns, so the per-row lookup buffers come from `scratch`; the
-    /// constant column vectors (τ, rates, masks) are still built once per
-    /// map render — a cold-path cost this method does not try to cache.
-    pub fn render_advisory_map_with(
-        &self,
-        own_rate_fps: f64,
-        intruder_rate_fps: f64,
-        scratch: &mut LookupScratch,
-    ) -> String {
         let cols = self.num_stages();
-        let taus: Vec<f64> = (1..=cols)
-            .rev()
-            .map(|k| k as f64 * self.config.dynamics.dt_s)
-            .collect();
-        let own_rates = vec![own_rate_fps; cols];
-        let intruder_rates = vec![intruder_rate_fps; cols];
-        let previous = vec![Advisory::Coc; cols];
-        let forbidden = vec![None; cols];
-        let mut hs = vec![0.0; cols];
-        let mut advisories = Vec::with_capacity(cols);
-
+        let dt = self.config.dynamics.dt_s;
         let mut out = format!(
             "advisory map (own rate {:.0} ft/s, intruder rate {:.0} ft/s); rows h, cols tau {}..1 s\n",
             own_rate_fps, intruder_rate_fps, cols
@@ -647,21 +431,16 @@ impl LogicTable {
         for row in (0..self.grid.axis(0).len()).rev() {
             let h = self.grid.axis(0)[row];
             out.push_str(&format!("{h:>7.0} ft |"));
-            hs.fill(h);
-            self.best_advisory_batch(
-                &StateBatch {
-                    h_ft: &hs,
-                    own_rate_fps: &own_rates,
-                    intruder_rate_fps: &intruder_rates,
-                    tau_s: &taus,
-                    previous: &previous,
-                },
-                &forbidden,
-                0.0,
-                scratch,
-                &mut advisories,
-            );
-            for &adv in &advisories {
+            for k in (1..=cols).rev() {
+                let adv = self.best_advisory(
+                    h,
+                    own_rate_fps,
+                    intruder_rate_fps,
+                    k as f64 * dt,
+                    Advisory::Coc,
+                    None,
+                    0.0,
+                );
                 out.push(match adv {
                     Advisory::Coc => '.',
                     Advisory::Dnc => 'N',
@@ -753,9 +532,9 @@ fn fma_row(acc: &mut [f64; Advisory::COUNT], row: &[f64; Advisory::COUNT], w: f6
     acc[6] += w * row[6];
 }
 
-/// The masked, hysteresis-biased argmax shared by every advisory-selection
-/// path (scalar and batched), so all of them break ties identically. COC is
-/// always in the [`AdvisorySet`], so a decision always exists.
+/// The masked, hysteresis-biased argmax behind every advisory selection, so
+/// all of them break ties identically. COC is always in the
+/// [`AdvisorySet`], so a decision always exists.
 ///
 /// Masked lanes are blended to `-∞` and the winner found by a fixed
 /// comparison tournament instead of a data-dependent scan. Every pairwise
@@ -949,6 +728,27 @@ mod tests {
     }
 
     #[test]
+    fn advisory_map_with_scratch_matches_plain_rendering() {
+        let t = coarse_table();
+        // Rendering keeps no state between calls: a map rendered after
+        // other lookups is identical to a fresh one.
+        let first = t.render_advisory_map(5.0, -5.0);
+        let _ = t.render_advisory_map(0.0, 0.0);
+        let _ = t.q_values(120.0, 3.0, -4.0, 6.0, Advisory::Coc);
+        assert_eq!(first, t.render_advisory_map(5.0, -5.0));
+        // One column per τ stage, spanning the table horizon.
+        let lines: Vec<&str> = first.lines().collect();
+        assert_eq!(
+            lines[1].split('|').nth(1).map(|cols| cols.chars().count()),
+            Some(t.num_stages())
+        );
+        assert_eq!(
+            t.horizon_s(),
+            t.num_stages() as f64 * t.config().dynamics.dt_s
+        );
+    }
+
+    #[test]
     fn save_load_round_trip_preserves_lookups() {
         let t = coarse_table();
         let mut buf = Vec::new();
@@ -1004,86 +804,5 @@ mod tests {
         let mut truncated = json.clone();
         truncated.replace_range(pos + "\"values\":[".len()..=comma, "");
         assert!(LogicTable::load(truncated.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn batched_lookups_match_scalar_exactly() {
-        let t = coarse_table();
-        let h: Vec<f64> = vec![-1500.0, -300.0, 0.0, 150.0, 333.3, 1200.0, 4000.0];
-        let own: Vec<f64> = vec![0.0, -20.0, 5.0, 12.5, -3.3, 40.0, 0.1];
-        let intr: Vec<f64> = vec![10.0, 0.0, -5.0, 7.0, 21.0, -40.0, 0.2];
-        let tau: Vec<f64> = vec![-2.0, 0.5, 3.0, 4.5, 6.0, 11.9, 500.0];
-        let prev: Vec<Advisory> = (0..7).map(Advisory::from_index).collect();
-        let batch = StateBatch {
-            h_ft: &h,
-            own_rate_fps: &own,
-            intruder_rate_fps: &intr,
-            tau_s: &tau,
-            previous: &prev,
-        };
-        let mut scratch = LookupScratch::default();
-        let mut q_out = Vec::new();
-        t.q_values_batch(&batch, &mut scratch, &mut q_out);
-        assert_eq!(q_out.len(), batch.len());
-        for i in 0..batch.len() {
-            let scalar = t.q_values(h[i], own[i], intr[i], tau[i], prev[i]);
-            assert_eq!(q_out[i], scalar, "query {i}");
-        }
-
-        let forbidden = [
-            None,
-            Some(Sense::Up),
-            Some(Sense::Down),
-            None,
-            Some(Sense::Up),
-            None,
-            Some(Sense::Down),
-        ];
-        let mut best_out = Vec::new();
-        t.best_advisory_batch(&batch, &forbidden, 3.0, &mut scratch, &mut best_out);
-        for i in 0..batch.len() {
-            let scalar = t.best_advisory(h[i], own[i], intr[i], tau[i], prev[i], forbidden[i], 3.0);
-            assert_eq!(best_out[i], scalar, "query {i}");
-        }
-
-        // Reusing the same scratch/outputs for a smaller batch leaves no
-        // stale entries.
-        let small = StateBatch {
-            h_ft: &h[..2],
-            own_rate_fps: &own[..2],
-            intruder_rate_fps: &intr[..2],
-            tau_s: &tau[..2],
-            previous: &prev[..2],
-        };
-        t.q_values_batch(&small, &mut scratch, &mut q_out);
-        assert_eq!(q_out.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn ragged_batches_panic() {
-        let t = coarse_table();
-        let batch = StateBatch {
-            h_ft: &[0.0, 1.0],
-            own_rate_fps: &[0.0],
-            intruder_rate_fps: &[0.0, 0.0],
-            tau_s: &[5.0, 5.0],
-            previous: &[Advisory::Coc, Advisory::Coc],
-        };
-        t.q_values_batch(&batch, &mut LookupScratch::default(), &mut Vec::new());
-    }
-
-    #[test]
-    fn advisory_map_with_scratch_matches_plain_rendering() {
-        let t = coarse_table();
-        let mut scratch = LookupScratch::default();
-        assert_eq!(
-            t.render_advisory_map(5.0, -5.0),
-            t.render_advisory_map_with(5.0, -5.0, &mut scratch)
-        );
-        assert_eq!(
-            t.horizon_s(),
-            t.num_stages() as f64 * t.config().dynamics.dt_s
-        );
     }
 }

@@ -2,12 +2,8 @@
 //! and table-lookup invariants under random inputs.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::OnceLock;
-use uavca_acasx::{
-    estimate_tau, AcasConfig, Advisory, LogicTable, LookupScratch, StateBatch, VerticalDynamics,
-};
-use uavca_sim::Sense;
+use uavca_acasx::{estimate_tau, AcasConfig, Advisory, LogicTable, VerticalDynamics};
 
 fn table() -> &'static LogicTable {
     static TABLE: OnceLock<LogicTable> = OnceLock::new();
@@ -102,65 +98,6 @@ proptest! {
         for forbidden in [uavca_sim::Sense::Up, uavca_sim::Sense::Down] {
             let best = t.best_advisory(h, own, intr, tau, prev, Some(forbidden), 0.0);
             prop_assert_ne!(best.sense(), Some(forbidden));
-        }
-    }
-
-    /// The batched structure-of-arrays lookups are bit-identical to the
-    /// scalar path across random states, τ values (including out-of-range)
-    /// and previous advisories, and across repeated scratch reuse.
-    #[test]
-    fn batched_lookups_are_bit_identical_to_scalar(
-        seed in 0u64..u64::MAX,
-        n in 1usize..64,
-        hysteresis in 0.0f64..10.0,
-    ) {
-        let t = table();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let h: Vec<f64> = (0..n).map(|_| rng.gen_range(-5000.0..5000.0)).collect();
-        let own: Vec<f64> = (0..n).map(|_| rng.gen_range(-80.0..80.0)).collect();
-        let intr: Vec<f64> = (0..n).map(|_| rng.gen_range(-80.0..80.0)).collect();
-        let tau: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..60.0)).collect();
-        let prev: Vec<Advisory> = (0..n)
-            .map(|_| Advisory::from_index(rng.gen_range(0usize..7)))
-            .collect();
-        let forbidden: Vec<Option<Sense>> = (0..n)
-            .map(|_| match rng.gen_range(0usize..3) {
-                0 => None,
-                1 => Some(Sense::Up),
-                _ => Some(Sense::Down),
-            })
-            .collect();
-        let batch = StateBatch {
-            h_ft: &h,
-            own_rate_fps: &own,
-            intruder_rate_fps: &intr,
-            tau_s: &tau,
-            previous: &prev,
-        };
-
-        let mut scratch = LookupScratch::default();
-        let mut q_batch = Vec::new();
-        let mut best_batch = Vec::new();
-        // Two passes through the same scratch: reuse must not change bits.
-        for pass in 0..2 {
-            t.q_values_batch(&batch, &mut scratch, &mut q_batch);
-            t.best_advisory_batch(&batch, &forbidden, hysteresis, &mut scratch, &mut best_batch);
-            prop_assert_eq!(q_batch.len(), n, "pass {}", pass);
-            for i in 0..n {
-                let q_scalar = t.q_values(h[i], own[i], intr[i], tau[i], prev[i]);
-                for a in 0..Advisory::COUNT {
-                    prop_assert_eq!(
-                        q_batch[i][a].to_bits(),
-                        q_scalar[a].to_bits(),
-                        "pass {} query {} action {}: {} vs {}",
-                        pass, i, a, q_batch[i][a], q_scalar[a]
-                    );
-                }
-                let best_scalar = t.best_advisory(
-                    h[i], own[i], intr[i], tau[i], prev[i], forbidden[i], hysteresis,
-                );
-                prop_assert_eq!(best_batch[i], best_scalar, "pass {} query {}", pass, i);
-            }
         }
     }
 }

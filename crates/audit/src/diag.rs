@@ -1,6 +1,6 @@
 //! Diagnostic codes, spans and the annotation escape hatch.
 //!
-//! Every rule has a stable short code (`A1`…`A6`, plus `E0` for a
+//! Every rule has a stable short code (`A1`…`A4` and `A6`, plus `E0` for a
 //! malformed annotation), a snake_case name usable in an inline
 //! annotation, and a fix hint. A site that must legitimately break a
 //! rule carries the escape hatch **on the offending line or on a
@@ -67,20 +67,6 @@ pub enum RuleCode {
     /// regressing into a panic string. The annotation forces each
     /// panic site to state why panicking is the correct contract.
     PanicPolicy,
-    /// **A5 `lane_coverage`** — every `Vec` field of a struct that
-    /// implements the cohort lane protocol (`ensure_lanes` /
-    /// `reset_lane` / `swap_lanes`) must be referenced in at least one
-    /// of those methods.
-    ///
-    /// The lockstep engine's dense-slot compaction swaps *whole lanes*
-    /// across every per-lane vector; a new per-lane `Vec` field that
-    /// `swap_lanes` forgets silently attaches one lane's state to
-    /// another lane's encounter after the first divergence — the exact
-    /// bug class `cohort_identity.rs` can only catch for fields that
-    /// already existed when its cases were written. Per-tick scratch
-    /// vectors that are *not* per-lane state carry an annotation
-    /// saying so.
-    LaneCoverage,
     /// **A6 `wire_coverage`** — every variant of the serve wire enums
     /// (`Request`, `Event`, `ShardRequest`, `ShardEvent` in
     /// `crates/serve/src/protocol.rs`) must appear in
@@ -104,23 +90,22 @@ pub enum RuleCode {
 impl RuleCode {
     /// Every real rule, in code order (excludes [`RuleCode::MalformedAllow`],
     /// which is emitted by the annotation parser rather than a rule pass).
-    pub const ALL: [RuleCode; 6] = [
+    pub const ALL: [RuleCode; 5] = [
         RuleCode::HashCollections,
         RuleCode::WallClock,
         RuleCode::AmbientEntropy,
         RuleCode::PanicPolicy,
-        RuleCode::LaneCoverage,
         RuleCode::WireCoverage,
     ];
 
-    /// The short diagnostic code (`A1`…`A6`, `E0`).
+    /// The short diagnostic code (`A1`…`A4`, `A6`, `E0`). `A5` belonged to
+    /// a retired rule and is not reused.
     pub fn code(self) -> &'static str {
         match self {
             RuleCode::HashCollections => "A1",
             RuleCode::WallClock => "A2",
             RuleCode::AmbientEntropy => "A3",
             RuleCode::PanicPolicy => "A4",
-            RuleCode::LaneCoverage => "A5",
             RuleCode::WireCoverage => "A6",
             RuleCode::MalformedAllow => "E0",
         }
@@ -133,7 +118,6 @@ impl RuleCode {
             RuleCode::WallClock => "wall_clock",
             RuleCode::AmbientEntropy => "ambient_entropy",
             RuleCode::PanicPolicy => "panic_policy",
-            RuleCode::LaneCoverage => "lane_coverage",
             RuleCode::WireCoverage => "wire_coverage",
             RuleCode::MalformedAllow => "malformed_allow",
         }
@@ -166,10 +150,6 @@ impl RuleCode {
                 "return a typed error (see ShardFault/AllShardsLost), or annotate: \
                  // audit: allow(panic_policy, <why panicking is the contract>)"
             }
-            RuleCode::LaneCoverage => {
-                "reference the field in swap_lanes/reset_lane/ensure_lanes, or mark \
-                 per-tick scratch: // audit: allow(lane_coverage, <why not per-lane>)"
-            }
             RuleCode::WireCoverage => {
                 "add the variant to crates/serve/tests/protocol_roundtrip.rs (build a \
                  value, call roundtrip(&…))"
@@ -177,7 +157,7 @@ impl RuleCode {
             RuleCode::MalformedAllow => {
                 "write // audit: allow(<rule_name>, <reason>) with a rule from: \
                  hash_collections, wall_clock, ambient_entropy, panic_policy, \
-                 lane_coverage, wire_coverage"
+                 wire_coverage"
             }
         }
     }

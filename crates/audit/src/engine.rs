@@ -374,7 +374,7 @@ mod tests {
             ("crates/core/src/campaign.rs", Lib, Some("core")),
             ("crates/core/tests/determinism.rs", Test, Some("core")),
             (
-                "crates/bench/src/bin/engine_profile.rs",
+                "crates/bench/src/bin/campaign_eval.rs",
                 Bench,
                 Some("bench"),
             ),

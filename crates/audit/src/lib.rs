@@ -35,9 +35,6 @@
 //!   anywhere; seeds flow from `campaign_job_seed`/`split_branch_seed`.
 //! - **A4 `panic_policy`** — `unwrap`/`expect`/`panic!`/`unreachable!`
 //!   in `core`/`serve` library code require an annotation.
-//! - **A5 `lane_coverage`** — every `Vec` field of a cohort
-//!   lane-protocol struct must be referenced in
-//!   `ensure_lanes`/`reset_lane`/`swap_lanes`.
 //! - **A6 `wire_coverage`** — every wire-enum variant in
 //!   `crates/serve/src/protocol.rs` must appear in the round-trip
 //!   battery.

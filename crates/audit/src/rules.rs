@@ -1,4 +1,4 @@
-//! The six audit rules, as token-level passes over a [`SourceFile`].
+//! The five audit rules, as token-level passes over a [`SourceFile`].
 //!
 //! Scope summary (see [`RuleCode`](crate::RuleCode) for the *why* of
 //! each rule):
@@ -9,7 +9,6 @@
 //! | `wall_clock` | A2 | library code outside bench/support, minus the serve timeout allowlist |
 //! | `ambient_entropy` | A3 | everything except support crates |
 //! | `panic_policy` | A4 | `core`/`serve` library code outside `#[cfg(test)]` modules |
-//! | `lane_coverage` | A5 | everything except support crates |
 //! | `wire_coverage` | A6 | the `protocol.rs` / `protocol_roundtrip.rs` file pair |
 //!
 //! Fixture-class files (the analyzer's own known-bad corpus) are never
@@ -33,12 +32,10 @@ const ENTROPY_SOURCES: [&str; 5] = [
     "OsRng",
     "getrandom",
 ];
-/// The cohort lane-protocol methods rule A5 requires field coverage in.
-const LANE_METHODS: [&str; 3] = ["ensure_lanes", "reset_lane", "swap_lanes"];
 /// The wire enums rule A6 requires round-trip coverage for.
 const WIRE_ENUMS: [&str; 4] = ["Request", "Event", "ShardRequest", "ShardEvent"];
 
-/// Runs every single-file rule (A1–A5) over `file`.
+/// Runs every single-file rule (A1–A4) over `file`.
 pub fn run_file_rules(file: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if matches!(file.class, FileClass::Fixture | FileClass::Support) {
@@ -48,7 +45,6 @@ pub fn run_file_rules(file: &SourceFile) -> Vec<Diagnostic> {
     wall_clock(file, &mut out);
     ambient_entropy(file, &mut out);
     panic_policy(file, &mut out);
-    lane_coverage(file, &mut out);
     out
 }
 
@@ -160,248 +156,6 @@ fn panic_policy(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             out,
         );
     }
-}
-
-/// A5: every `Vec` field of a struct that implements any lane-protocol
-/// method must be referenced in at least one of those methods.
-fn lane_coverage(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let structs = collect_structs(file);
-    if structs.is_empty() {
-        return;
-    }
-    for s in &structs {
-        let mut referenced: Vec<&str> = Vec::new();
-        let mut has_lane_methods = false;
-        for (self_name, body_range) in collect_lane_method_bodies(file) {
-            if self_name == s.name {
-                has_lane_methods = true;
-                for tok in &file.tokens[body_range.0..body_range.1] {
-                    if tok.kind == TokenKind::Ident {
-                        referenced.push(tok.slice(&file.src));
-                    }
-                }
-            }
-        }
-        if !has_lane_methods {
-            continue;
-        }
-        for field in &s.vec_fields {
-            if !referenced.contains(&field.name.as_str()) {
-                file.diag_at(
-                    RuleCode::LaneCoverage,
-                    field.token_index,
-                    format!(
-                        "per-lane field `{}` of `{}` is not referenced in any of \
-                         ensure_lanes/reset_lane/swap_lanes: dense-slot compaction \
-                         would mix lanes",
-                        field.name, s.name
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-struct VecField {
-    name: String,
-    token_index: usize,
-}
-
-struct StructDef {
-    name: String,
-    vec_fields: Vec<VecField>,
-}
-
-/// Finds every brace struct definition and its `Vec`-typed fields
-/// (including arrays of `Vec`, e.g. `[Vec<UavState>; 2]`).
-fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
-    let toks = &file.tokens;
-    let text = |i: usize| toks[i].slice(&file.src);
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].kind == TokenKind::Ident && text(i) == "struct" && i + 1 < toks.len() {
-            let name = text(i + 1).to_string();
-            // Skip generics to the body opener; `;` or `(` means a
-            // unit/tuple struct — no named fields to audit.
-            let mut j = i + 2;
-            let mut angle = 0i32;
-            while j < toks.len() {
-                match text(j) {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "{" if angle == 0 => break,
-                    ";" | "(" if angle == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if j < toks.len() && text(j) == "{" {
-                let mut vec_fields = Vec::new();
-                let mut depth = 1usize;
-                let mut k = j + 1;
-                while k < toks.len() && depth > 0 {
-                    match text(k) {
-                        "{" | "(" | "[" => depth += 1,
-                        "}" | ")" | "]" => depth -= 1,
-                        "#" if depth == 1 => {
-                            // Skip attributes on fields.
-                            if k + 1 < toks.len() && text(k + 1) == "[" {
-                                let mut b = 1usize;
-                                k += 2;
-                                while k < toks.len() && b > 0 {
-                                    match text(k) {
-                                        "[" => b += 1,
-                                        "]" => b -= 1,
-                                        _ => {}
-                                    }
-                                    k += 1;
-                                }
-                                continue;
-                            }
-                        }
-                        _ => {
-                            // A field: ident followed by `:` at depth 1.
-                            if depth == 1
-                                && toks[k].kind == TokenKind::Ident
-                                && text(k) != "pub"
-                                && k + 1 < toks.len()
-                                && text(k + 1) == ":"
-                            {
-                                let field_index = k;
-                                let field_name = text(k).to_string();
-                                // Scan the type tokens up to the `,` (or
-                                // closing `}`) at this depth.
-                                let mut t = k + 2;
-                                let mut tdepth = 0i32;
-                                let mut is_vec = false;
-                                while t < toks.len() {
-                                    match text(t) {
-                                        "<" | "(" | "[" | "{" => tdepth += 1,
-                                        ">" | ")" | "]" => tdepth -= 1,
-                                        "}" if tdepth == 0 => break,
-                                        "," if tdepth <= 0 => break,
-                                        "Vec" => is_vec = true,
-                                        _ => {}
-                                    }
-                                    t += 1;
-                                }
-                                if is_vec {
-                                    vec_fields.push(VecField {
-                                        name: field_name,
-                                        token_index: field_index,
-                                    });
-                                }
-                                k = t;
-                                continue;
-                            }
-                        }
-                    }
-                    k += 1;
-                }
-                out.push(StructDef { name, vec_fields });
-                i = k;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Finds every `ensure_lanes`/`reset_lane`/`swap_lanes` *method body*
-/// inside an `impl` block, returning `(self_type, token_range)` pairs.
-fn collect_lane_method_bodies(file: &SourceFile) -> Vec<(String, (usize, usize))> {
-    let toks = &file.tokens;
-    let text = |i: usize| toks[i].slice(&file.src);
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !(toks[i].kind == TokenKind::Ident && text(i) == "impl") {
-            i += 1;
-            continue;
-        }
-        // Resolve the Self type of `impl … {`: the ident after `for`
-        // if present (trait impl), else the first ident outside the
-        // generic parameter list (inherent impl).
-        let mut j = i + 1;
-        let mut angle = 0i32;
-        let mut self_ty: Option<String> = None;
-        while j < toks.len() && text(j) != "{" {
-            match text(j) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                // `impl Trait for Type`: the Self type restarts after
-                // `for`, so the trait name is discarded.
-                "for" if angle == 0 => self_ty = None,
-                _ => {
-                    if angle == 0 && toks[j].kind == TokenKind::Ident && self_ty.is_none() {
-                        self_ty = Some(text(j).to_string());
-                    }
-                }
-            }
-            j += 1;
-        }
-        let Some(self_ty) = self_ty else {
-            i = j;
-            continue;
-        };
-        if j >= toks.len() {
-            break;
-        }
-        // Walk the impl body looking for the lane methods.
-        let mut depth = 1usize;
-        let mut k = j + 1;
-        while k < toks.len() && depth > 0 {
-            match text(k) {
-                "{" => depth += 1,
-                "}" => depth -= 1,
-                "fn" if depth == 1
-                    && toks[k].kind == TokenKind::Ident
-                    && k + 1 < toks.len()
-                    && LANE_METHODS.contains(&text(k + 1)) =>
-                {
-                    // Find the body `{` (skipping the signature) and
-                    // record its token range.
-                    let mut b = k + 2;
-                    let mut sig_depth = 0i32;
-                    while b < toks.len() {
-                        match text(b) {
-                            "(" | "<" | "[" => sig_depth += 1,
-                            ")" | ">" | "]" => sig_depth -= 1,
-                            "{" if sig_depth <= 0 => break,
-                            ";" if sig_depth <= 0 => break,
-                            _ => {}
-                        }
-                        b += 1;
-                    }
-                    if b < toks.len() && text(b) == "{" {
-                        let start = b + 1;
-                        let mut bd = 1usize;
-                        let mut e = start;
-                        while e < toks.len() && bd > 0 {
-                            match text(e) {
-                                "{" => bd += 1,
-                                "}" => bd -= 1,
-                                _ => {}
-                            }
-                            e += 1;
-                        }
-                        // The body's braces balance, so `depth`
-                        // stays at the impl level after the skip.
-                        out.push((self_ty.clone(), (start, e)));
-                        k = e;
-                        continue;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        i = k;
-    }
-    out
 }
 
 /// A6: every variant of the wire enums in `protocol.rs` must appear
@@ -556,26 +310,6 @@ mod tests {
             codes(&run_file_rules(&file("crates/core/src/x.rs", live))),
             vec![("A4", 1, 10)]
         );
-    }
-
-    #[test]
-    fn lane_coverage_flags_the_forgotten_field() {
-        let src = "struct C {\n    covered: Vec<u8>,\n    forgotten: Vec<u8>,\n    plain: u8,\n}\nimpl C {\n    fn swap_lanes(&mut self, a: usize, b: usize) {\n        self.covered.swap(a, b);\n    }\n}\n";
-        let diags = run_file_rules(&file("crates/sim/src/x.rs", src));
-        assert_eq!(codes(&diags), vec![("A5", 3, 5)]);
-        assert!(diags[0].message.contains("forgotten"));
-    }
-
-    #[test]
-    fn lane_coverage_ignores_structs_without_lane_methods() {
-        let src = "struct Buffers {\n    scratch: Vec<u8>,\n}\n";
-        assert!(run_file_rules(&file("crates/sim/src/x.rs", src)).is_empty());
-    }
-
-    #[test]
-    fn lane_coverage_resolves_trait_impl_self_types() {
-        let src = "struct A { lanes: Vec<u8> }\nimpl Cohort for A {\n    fn ensure_lanes(&mut self, n: usize) { self.lanes.resize(n, 0); }\n}\n";
-        assert!(run_file_rules(&file("crates/acasx/src/x.rs", src)).is_empty());
     }
 
     #[test]

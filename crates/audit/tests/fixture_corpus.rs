@@ -132,25 +132,6 @@ fn panic_policy_is_scoped_to_core_and_serve() {
 }
 
 #[test]
-fn lanes_fixture_yields_exact_a5_span() {
-    let file = parse_as("crates/sim/src/fixture.rs", "lanes.rs");
-    let diags = run_file_rules(&file);
-    // `forgotten` is the only Vec field never referenced in a lane
-    // method; `width` is not a Vec and `primary` is covered.
-    assert_spans(&diags, &[(RuleCode::LaneCoverage, 3, 5)]);
-    assert!(
-        diags[0].message.contains("`forgotten`"),
-        "{}",
-        diags[0].message
-    );
-    assert!(
-        diags[0].message.contains("`BadCohort`"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
 fn wire_fixture_yields_exact_a6_span() {
     let protocol = parse_as("crates/serve/src/protocol.rs", "protocol.rs");
     let roundtrip = parse_as(

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use uavca_acasx::{AcasConfig, LogicTable};
 use uavca_encounter::EncounterParams;
-use uavca_validation::{BatchRunner, EncounterRunner, Equipage, SimEngine};
+use uavca_validation::{BatchRunner, EncounterRunner, Equipage};
 
 fn table() -> Arc<LogicTable> {
     Arc::new(LogicTable::solve(&AcasConfig::coarse()))
@@ -49,37 +49,24 @@ fn bench_paper_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_comparison(c: &mut Criterion) {
-    // The head-to-head the cohort engine exists for: the same 64-job
-    // batch through the scalar oracle and through the lockstep cohort
-    // (SoA state + batched SIMD advisory lookups). Outcomes are
-    // byte-identical by construction (crates/core/tests/cohort_identity.rs);
-    // only the wall clock differs. Serial backend so the ratio measures
-    // the engine, not thread scheduling.
+fn bench_serial_batch(c: &mut Criterion) {
+    // A 64-job batch through `BatchRunner::run_batch` on the serial
+    // backend, so the number measures the per-job path (warm-world reuse
+    // included), not thread scheduling.
     let params = EncounterParams::head_on_template();
-    let mut group = c.benchmark_group("engine_comparison");
+    let mut group = c.benchmark_group("serial_batch");
     group.sample_size(10);
-    for (label, engine, equipage) in [
-        ("scalar_batch_64", SimEngine::Scalar, Equipage::Both),
-        (
-            "cohort_batch_64",
-            SimEngine::Cohort { width: 64 },
-            Equipage::Both,
-        ),
-        ("scalar_unequipped_64", SimEngine::Scalar, Equipage::Neither),
-        (
-            "cohort_unequipped_64",
-            SimEngine::Cohort { width: 64 },
-            Equipage::Neither,
-        ),
+    for (label, equipage) in [
+        ("scalar_batch_64", Equipage::Both),
+        ("scalar_unequipped_64", Equipage::Neither),
     ] {
         let jobs = BatchRunner::repeated_jobs(&params, equipage, 64, 0);
-        let batch = BatchRunner::serial(EncounterRunner::new(table())).engine(engine);
+        let batch = BatchRunner::serial(EncounterRunner::new(table()));
         group.bench_function(label, |b| {
             let mut seed = 0u64;
             b.iter(|| {
-                // Fresh seeds per iteration so neither engine benefits
-                // from a repeated trajectory.
+                // Fresh seeds per iteration so no run replays a
+                // trajectory.
                 seed = seed.wrapping_add(jobs.len() as u64);
                 let shifted: Vec<_> = jobs
                     .iter()
@@ -100,6 +87,6 @@ criterion_group!(
     bench_single_run,
     bench_unequipped_run,
     bench_paper_evaluation,
-    bench_engine_comparison
+    bench_serial_batch
 );
 criterion_main!(benches);

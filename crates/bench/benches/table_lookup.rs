@@ -1,20 +1,19 @@
 //! Criterion bench: online logic-table lookups — the per-decision cost of
 //! the deployed system (multilinear interpolation over the kinematic grid
-//! plus τ blending, then masked argmax), scalar and batched.
+//! plus τ blending, then masked argmax).
 //!
-//! The `*_scalar_256` / `*_batch_256` pairs run the *same* 256 queries per
-//! iteration, so dividing either number by 256 gives the per-lookup cost
-//! and the pair is directly comparable. Recorded runs live in
-//! `BENCH_table_lookup.json`.
+//! The `*_scalar_256` cases run 256 varied queries per iteration, so
+//! dividing by 256 gives the per-lookup cost over a spread of grid cells.
+//! Recorded runs live in `BENCH_table_lookup.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use uavca_acasx::{AcasConfig, Advisory, LogicTable, LookupScratch, StateBatch};
+use uavca_acasx::{AcasConfig, Advisory, LogicTable};
 
-/// Query-set size for the scalar-vs-batch comparison: roughly one
-/// Monte-Carlo campaign tick's worth of per-aircraft decisions.
+/// Query-set size: roughly one Monte-Carlo campaign tick's worth of
+/// per-aircraft decisions.
 const BATCH: usize = 256;
 
-/// A deterministic SoA query set covering the grid box, τ range and all
+/// A deterministic query set covering the grid box, τ range and all
 /// previous advisories.
 struct QuerySet {
     h: Vec<f64>,
@@ -84,7 +83,7 @@ fn bench_interp_weights(c: &mut Criterion) {
     });
 }
 
-fn bench_scalar_vs_batch(c: &mut Criterion) {
+fn bench_query_set(c: &mut Criterion) {
     let table = LogicTable::solve(&AcasConfig::coarse());
     let QuerySet {
         h,
@@ -93,7 +92,6 @@ fn bench_scalar_vs_batch(c: &mut Criterion) {
         tau,
         prev,
     } = query_set();
-    let forbidden = vec![None; BATCH];
 
     c.bench_function("logic_table_q_values_scalar_256", |b| {
         b.iter(|| {
@@ -105,46 +103,14 @@ fn bench_scalar_vs_batch(c: &mut Criterion) {
         })
     });
 
-    let mut scratch = LookupScratch::default();
-    let mut q_out = Vec::new();
-    c.bench_function("logic_table_q_values_batch_256", |b| {
-        b.iter(|| {
-            let batch = StateBatch {
-                h_ft: &h,
-                own_rate_fps: &own,
-                intruder_rate_fps: &intr,
-                tau_s: &tau,
-                previous: &prev,
-            };
-            table.q_values_batch(&batch, &mut scratch, &mut q_out);
-            black_box(q_out[BATCH - 1][0])
-        })
-    });
-
     c.bench_function("logic_table_best_advisory_scalar_256", |b| {
         b.iter(|| {
             let mut alerts = 0usize;
             for i in 0..BATCH {
-                let adv =
-                    table.best_advisory(h[i], own[i], intr[i], tau[i], prev[i], forbidden[i], 3.0);
+                let adv = table.best_advisory(h[i], own[i], intr[i], tau[i], prev[i], None, 3.0);
                 alerts += usize::from(adv.is_alert());
             }
             black_box(alerts)
-        })
-    });
-
-    let mut best_out = Vec::new();
-    c.bench_function("logic_table_best_advisory_batch_256", |b| {
-        b.iter(|| {
-            let batch = StateBatch {
-                h_ft: &h,
-                own_rate_fps: &own,
-                intruder_rate_fps: &intr,
-                tau_s: &tau,
-                previous: &prev,
-            };
-            table.best_advisory_batch(&batch, &forbidden, 3.0, &mut scratch, &mut best_out);
-            black_box(best_out[BATCH - 1])
         })
     });
 }
@@ -154,6 +120,6 @@ criterion_group!(
     bench_q_lookup,
     bench_best_advisory,
     bench_interp_weights,
-    bench_scalar_vs_batch
+    bench_query_set
 );
 criterion_main!(benches);

@@ -23,12 +23,14 @@
 //!   bit-identical results for 1 thread or N (covered by tests in
 //!   `tests/determinism.rs`).
 //! * **Allocation reuse.** Each worker holds a [`RunScratch`](crate::RunScratch)
-//!   — warm [`uavca_sim::EncounterWorld`]s per equipage plus a
-//!   [`uavca_acasx::LookupScratch`] for direct batched table interrogation
-//!   — so steady-state batches run allocation-free and `AcasXu`
-//!   construction stays out of the hot loop (the solved `LogicTable` is
-//!   `Arc`-shared throughout, and its lookup path itself allocates
-//!   nothing per decision).
+//!   — warm [`uavca_sim::EncounterWorld`]s per equipage — so steady-state
+//!   batches run allocation-free and `AcasXu` construction stays out of
+//!   the hot loop (the solved `LogicTable` is `Arc`-shared throughout, and
+//!   its lookup path itself allocates nothing per decision).
+//! * **One simulation path.** Every job flies a scalar
+//!   [`uavca_sim::EncounterWorld`] stepped to completion, the same path
+//!   [`crate::EncounterRunner::run_once_with`] takes, so a batch outcome
+//!   is the single-run outcome by construction.
 //!
 //! Consumers in this crate: [`crate::MonteCarloEstimator`] (paired
 //! campaigns), [`crate::FitnessFunction`] (per-genome evaluation, used by
@@ -87,40 +89,24 @@ impl PairedOutcome {
     }
 }
 
-/// How a [`BatchRunner`] advances its simulations.
+/// How a [`BatchRunner`] advances its simulations — kept only as a
+/// read-only label.
 ///
-/// Both engines are bit-identical per job (covered by
-/// `tests/cohort_identity.rs`); they differ only in throughput. The
-/// cohort engine is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Every batch runs on the scalar path and
+/// [`BatchRunner::current_engine`] always returns [`SimEngine::Scalar`].
+/// The type survives because the benchmark harness still matches on it
+/// to label its reports; nothing in the workspace constructs
+/// [`SimEngine::Cohort`]. Both go once that label is retired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEngine {
     /// One [`uavca_sim::EncounterWorld`] per job, stepped to completion
-    /// before the next job starts — the reference path, and the only one
-    /// that can record traces.
+    /// before the next job starts — the only engine.
     Scalar,
-    /// The lockstep [`uavca_sim::EncounterCohort`]: jobs are cut into
-    /// fixed `width` chunks (so results cannot depend on the thread
-    /// count), and each worker advances its chunk's encounters together,
-    /// turning every tick's policy queries into one batched table lookup.
+    /// A retired lockstep engine; never constructed.
     Cohort {
-        /// Lockstep width — the number of encounters a worker advances
-        /// together (clamped to at least 1).
+        /// Lockstep width of the retired engine.
         width: usize,
     },
-}
-
-impl SimEngine {
-    /// The default lockstep width of [`SimEngine::Cohort`].
-    pub const DEFAULT_WIDTH: usize = 64;
-}
-
-impl Default for SimEngine {
-    /// The cohort engine at the default width.
-    fn default() -> Self {
-        SimEngine::Cohort {
-            width: Self::DEFAULT_WIDTH,
-        }
-    }
 }
 
 /// Anything that can fly a batch of single simulation jobs — the
@@ -150,7 +136,6 @@ pub trait SimSource {
 pub struct BatchRunner<B: Backend = Executor> {
     runner: EncounterRunner,
     backend: B,
-    engine: SimEngine,
 }
 
 impl BatchRunner {
@@ -168,25 +153,15 @@ impl BatchRunner {
 }
 
 impl<B: Backend> BatchRunner<B> {
-    /// A batch runner fanning out on `backend` with the default
-    /// [`SimEngine`].
+    /// A batch runner fanning out on `backend`.
     pub fn new(runner: EncounterRunner, backend: B) -> Self {
-        Self {
-            runner,
-            backend,
-            engine: SimEngine::default(),
-        }
+        Self { runner, backend }
     }
 
-    /// Selects the simulation engine (builder style).
-    pub fn engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The configured simulation engine.
+    /// The simulation engine batches run on: always
+    /// [`SimEngine::Scalar`].
     pub fn current_engine(&self) -> SimEngine {
-        self.engine
+        SimEngine::Scalar
     }
 
     /// The wrapped runner.
@@ -199,75 +174,32 @@ impl<B: Backend> BatchRunner<B> {
         &self.backend
     }
 
-    /// The engine a batch will actually run on: the cohort engine does
-    /// not record traces, so trace-recording configurations fall back to
-    /// the scalar path.
-    fn active_engine(&self) -> SimEngine {
-        match self.engine {
-            SimEngine::Cohort { .. } if self.runner.sim().record_trace => SimEngine::Scalar,
-            SimEngine::Cohort { width } => SimEngine::Cohort {
-                width: width.max(1),
-            },
-            SimEngine::Scalar => SimEngine::Scalar,
-        }
-    }
-
     /// Runs every job, returning outcomes in job order.
     pub fn run_batch(&self, jobs: &[SimJob]) -> Vec<EncounterOutcome> {
-        match self.active_engine() {
-            SimEngine::Scalar => self
-                .backend
-                .map_with(jobs, RunScratch::new, |scratch, job| {
-                    self.runner
-                        .run_once_reusing(&job.params, job.seed, job.equipage, scratch)
-                }),
-            SimEngine::Cohort { width } => {
-                let chunks: Vec<&[SimJob]> = jobs.chunks(width).collect();
-                self.backend
-                    .map_with(&chunks, RunScratch::new, |scratch, chunk| {
-                        self.runner.run_chunk_cohort(chunk, width, scratch)
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            }
-        }
+        self.backend
+            .map_with(jobs, RunScratch::new, |scratch, job| {
+                self.runner
+                    .run_once_reusing(&job.params, job.seed, job.equipage, scratch)
+            })
     }
 
     /// Runs every paired job (equipped + unequipped on one seed, one
     /// scenario generation each), in job order.
     pub fn run_paired(&self, jobs: &[PairedJob]) -> Vec<PairedOutcome> {
-        match self.active_engine() {
-            SimEngine::Scalar => self
-                .backend
-                .map_with(jobs, RunScratch::new, |scratch, job| {
-                    let (equipped, unequipped) =
-                        self.runner.run_pair_reusing(&job.params, job.seed, scratch);
-                    PairedOutcome {
-                        equipped,
-                        unequipped,
-                    }
-                }),
-            SimEngine::Cohort { width } => {
-                let chunks: Vec<&[PairedJob]> = jobs.chunks(width).collect();
-                self.backend
-                    .map_with(&chunks, RunScratch::new, |scratch, chunk| {
-                        self.runner.run_pair_chunk_cohort(chunk, width, scratch)
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            }
-        }
+        self.backend
+            .map_with(jobs, RunScratch::new, |scratch, job| {
+                let (equipped, unequipped) =
+                    self.runner.run_pair_reusing(&job.params, job.seed, scratch);
+                PairedOutcome {
+                    equipped,
+                    unequipped,
+                }
+            })
     }
 
     /// Runs multilevel-splitting jobs in parallel, outcomes in job order.
     ///
-    /// Splitting always drives the **scalar** engine regardless of the
-    /// configured [`SimEngine`]: a branch tree advances one trajectory to
-    /// a data-dependent severity crossing, checkpoints, and resumes —
-    /// control flow a fixed-width cohort cannot express. Each job is a
-    /// pure function of its fields (root seed plus the
+    /// Each job is a pure function of its fields (root seed plus the
     /// [`crate::split_branch_seed`] rule), so batches stay bit-identical
     /// for any worker count.
     pub fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome> {
@@ -350,6 +282,7 @@ mod tests {
             })
             .collect();
         let batch = BatchRunner::new(r.clone(), Executor::new(4)).run_batch(&jobs);
+        assert_eq!(batch.len(), jobs.len());
         for (job, out) in jobs.iter().zip(&batch) {
             assert_eq!(*out, r.run_once_with(&job.params, job.seed, job.equipage));
         }

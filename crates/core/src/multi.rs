@@ -176,9 +176,8 @@ impl EncounterRunner {
 
 impl<B: Backend> BatchRunner<B> {
     /// Runs multi-aircraft paired jobs in parallel, outcomes in job
-    /// order. Multi runs always drive the scalar k-body engine (there is
-    /// no lockstep cohort for n bodies yet); each job is a pure function
-    /// of its fields, so batches are bit-identical for any worker count.
+    /// order. Each job is a pure function of its fields, so batches are
+    /// bit-identical for any worker count.
     pub fn run_multis(&self, jobs: &[MultiJob]) -> Vec<MultiPairedOutcome> {
         self.backend()
             .map_with(jobs, MultiRunScratch::new, |scratch, job| {

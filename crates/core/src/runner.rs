@@ -1,50 +1,31 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use uavca_acasx::{AcasConfig, AcasXu, AcasXuCohort, LogicTable, LookupScratch};
+use uavca_acasx::{AcasConfig, AcasXu, LogicTable};
 use uavca_encounter::{EncounterParams, ScenarioGenerator};
 use uavca_sim::{
-    CohortAvoider, CohortJob, CollisionAvoider, EncounterCohort, EncounterOutcome, EncounterWorld,
-    SimConfig, Trace, UavState, Unequipped, UnequippedCohort,
+    CollisionAvoider, EncounterOutcome, EncounterWorld, SimConfig, Trace, UavState, Unequipped,
 };
 
 use crate::campaign::split_branch_seed;
 use crate::splitting::{SplitJob, SplitOutcome};
-use crate::{PairedJob, PairedOutcome, SimJob};
 
-/// Reusable per-worker simulation state behind one reset rule: **every
-/// job resets exactly the state it is about to use, nothing is reset
-/// between jobs.** Warm [`EncounterWorld`]s and [`EncounterCohort`]s (one
-/// per equipage) rearm per run/admission, the [`LookupScratch`] and the
-/// chunk gather buffers clear-but-keep-capacity per call — so repeated
-/// batches pay zero steady-state allocation on either engine path.
+/// Reusable per-worker simulation state: warm [`EncounterWorld`]s, one
+/// per equipage, each rearmed by the run that uses it — so repeated
+/// batches pay zero steady-state allocation.
 ///
 /// Create one scratch per worker thread (never share across runners — the
-/// warmed worlds and cohorts embed the owning runner's logic table and
-/// simulation configuration). [`crate::BatchRunner`] does this
-/// automatically.
+/// warmed worlds embed the owning runner's logic table and simulation
+/// configuration). [`crate::BatchRunner`] does this automatically.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     worlds: [Option<EncounterWorld>; 3],
-    cohorts: [Option<EncounterCohort>; 3],
-    /// Generated cohort jobs of the chunk being run (cleared per chunk).
-    cohort_jobs: Vec<CohortJob>,
-    /// Chunk positions of `cohort_jobs` entries, for the scatter pass.
-    positions: Vec<usize>,
-    lookup: LookupScratch,
 }
 
 impl RunScratch {
     /// An empty (cold) scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The worker's logic-table lookup scratch, for job closures that
-    /// interrogate the table directly through the batched
-    /// [`uavca_acasx::LogicTable`] APIs.
-    pub fn lookup_scratch(&mut self) -> &mut LookupScratch {
-        &mut self.lookup
     }
 
     fn world(&mut self, equipage: Equipage) -> &mut Option<EncounterWorld> {
@@ -54,18 +35,6 @@ impl RunScratch {
             Equipage::Neither => 2,
         };
         &mut self.worlds[idx]
-    }
-
-    fn cohort_slot(
-        cohorts: &mut [Option<EncounterCohort>; 3],
-        equipage: Equipage,
-    ) -> &mut Option<EncounterCohort> {
-        let idx = match equipage {
-            Equipage::Both => 0,
-            Equipage::OwnOnly => 1,
-            Equipage::Neither => 2,
-        };
-        &mut cohorts[idx]
     }
 }
 
@@ -110,7 +79,7 @@ impl EncounterRunner {
     }
 
     /// Convenience constructor that solves the full-resolution table first
-    /// (seconds in release builds; cache the table for repeated use).
+    /// (about 0.2 s in release builds; cache the table for repeated use).
     pub fn with_default_table() -> Self {
         Self::new(Arc::new(LogicTable::solve(&AcasConfig::default())))
     }
@@ -162,103 +131,6 @@ impl EncounterRunner {
             Equipage::OwnOnly => [acas(), none()],
             Equipage::Neither => [none(), none()],
         }
-    }
-
-    fn cohort_avoiders(&self, equipage: Equipage) -> [Box<dyn CohortAvoider>; 2] {
-        let acas = || -> Box<dyn CohortAvoider> { Box::new(AcasXuCohort::new(self.table.clone())) };
-        let none = || -> Box<dyn CohortAvoider> { Box::new(UnequippedCohort::new()) };
-        match equipage {
-            Equipage::Both => [acas(), acas()],
-            Equipage::OwnOnly => [acas(), none()],
-            Equipage::Neither => [none(), none()],
-        }
-    }
-
-    /// Runs one chunk of simulation jobs through the warm lockstep cohort
-    /// engines (one per equipage in the chunk), returning outcomes in
-    /// chunk order — bit-identical to the scalar per-job path.
-    pub(crate) fn run_chunk_cohort(
-        &self,
-        chunk: &[SimJob],
-        width: usize,
-        scratch: &mut RunScratch,
-    ) -> Vec<EncounterOutcome> {
-        let mut out: Vec<Option<EncounterOutcome>> = vec![None; chunk.len()];
-        for equipage in [Equipage::Both, Equipage::OwnOnly, Equipage::Neither] {
-            let RunScratch {
-                cohorts,
-                cohort_jobs,
-                positions,
-                ..
-            } = scratch;
-            cohort_jobs.clear();
-            positions.clear();
-            for (k, job) in chunk.iter().enumerate() {
-                if job.equipage == equipage {
-                    let enc = self.generator.generate(&job.params);
-                    cohort_jobs.push(CohortJob {
-                        initial: [enc.own, enc.intruder],
-                        seed: job.seed,
-                    });
-                    positions.push(k);
-                }
-            }
-            if cohort_jobs.is_empty() {
-                continue;
-            }
-            let cohort = RunScratch::cohort_slot(cohorts, equipage).get_or_insert_with(|| {
-                EncounterCohort::new(self.sim, self.cohort_avoiders(equipage), width)
-            });
-            for (&pos, outcome) in positions.iter().zip(cohort.run(cohort_jobs)) {
-                out[pos] = Some(outcome);
-            }
-        }
-        out.into_iter()
-            // audit: allow(panic_policy, the three equipage passes above fill every slot)
-            .map(|o| o.expect("every job carries one of the three equipages"))
-            .collect()
-    }
-
-    /// Runs one chunk of paired jobs through the cohort engines: each
-    /// scenario is generated **once**, then the whole chunk flies the
-    /// configured equipage and the unequipped baseline on identical seeds.
-    pub(crate) fn run_pair_chunk_cohort(
-        &self,
-        chunk: &[PairedJob],
-        width: usize,
-        scratch: &mut RunScratch,
-    ) -> Vec<PairedOutcome> {
-        let RunScratch {
-            cohorts,
-            cohort_jobs,
-            ..
-        } = scratch;
-        cohort_jobs.clear();
-        for job in chunk {
-            let enc = self.generator.generate(&job.params);
-            cohort_jobs.push(CohortJob {
-                initial: [enc.own, enc.intruder],
-                seed: job.seed,
-            });
-        }
-        let equipped = RunScratch::cohort_slot(cohorts, self.equipage)
-            .get_or_insert_with(|| {
-                EncounterCohort::new(self.sim, self.cohort_avoiders(self.equipage), width)
-            })
-            .run(cohort_jobs);
-        let unequipped = RunScratch::cohort_slot(cohorts, Equipage::Neither)
-            .get_or_insert_with(|| {
-                EncounterCohort::new(self.sim, self.cohort_avoiders(Equipage::Neither), width)
-            })
-            .run(cohort_jobs);
-        equipped
-            .into_iter()
-            .zip(unequipped)
-            .map(|(equipped, unequipped)| PairedOutcome {
-                equipped,
-                unequipped,
-            })
-            .collect()
     }
 
     /// Runs one stochastic simulation of `params` with the configured
@@ -397,19 +269,6 @@ impl EncounterRunner {
             .collect()
     }
 
-    /// Renders the logic table's advisory map for fixed vertical rates,
-    /// reusing `scratch`'s lookup buffers (each altitude row is one batched
-    /// table query) — the worker-friendly policy-plot entry point.
-    pub fn advisory_map(
-        &self,
-        own_rate_fps: f64,
-        intruder_rate_fps: f64,
-        scratch: &mut RunScratch,
-    ) -> String {
-        self.table
-            .render_advisory_map_with(own_rate_fps, intruder_rate_fps, &mut scratch.lookup)
-    }
-
     /// Runs one simulation with trace recording enabled and returns the
     /// trace alongside the outcome (the "visualization mode" replacement).
     pub fn run_traced(&self, params: &EncounterParams, seed: u64) -> (EncounterOutcome, Trace) {
@@ -540,19 +399,6 @@ pub(crate) mod tests {
         let b = EncounterParams::tail_approach_template();
         assert_eq!(EncounterRunner::seed_for(&a), EncounterRunner::seed_for(&a));
         assert_ne!(EncounterRunner::seed_for(&a), EncounterRunner::seed_for(&b));
-    }
-
-    #[test]
-    fn advisory_map_reuses_worker_lookup_scratch() {
-        let r = runner();
-        let mut scratch = RunScratch::new();
-        let via_scratch = r.advisory_map(0.0, 0.0, &mut scratch);
-        assert_eq!(via_scratch, r.table().render_advisory_map(0.0, 0.0));
-        // The same scratch serves simulation runs and further maps.
-        let params = EncounterParams::head_on_template();
-        let outcome = r.run_once_reusing(&params, 3, Equipage::Both, &mut scratch);
-        assert_eq!(outcome, r.run_once(&params, 3));
-        assert_eq!(r.advisory_map(0.0, 0.0, &mut scratch), via_scratch);
     }
 
     #[test]

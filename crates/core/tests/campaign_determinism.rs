@@ -109,36 +109,6 @@ fn sharded_campaign_matches_in_process_byte_for_byte() {
     }
 }
 
-/// The sharded service runs the default (cohort) engine inside every
-/// shard worker; a campaign sharded that way must still serialize to the
-/// same bytes as an in-process campaign forced onto the **scalar**
-/// engine — shard count, thread count and simulation engine are all pure
-/// deployment choices.
-#[test]
-fn sharded_cohort_campaign_matches_the_scalar_engine_oracle() {
-    use uavca_exec::Executor;
-    use uavca_serve::ShardedBackend;
-    use uavca_validation::{BatchRunner, SimEngine};
-
-    let planner = CampaignPlanner::new(runner(), config(1));
-    let scalar_source = BatchRunner::new(runner(), Executor::serial()).engine(SimEngine::Scalar);
-    let reference = planner.run_with(&scalar_source).expect("valid config");
-    let reference_estimate =
-        serde_json::to_string(&reference.estimate).expect("serializable estimate");
-
-    for shards in [1, 3] {
-        let backend = ShardedBackend::spawn_local(runner(), shards, 2);
-        let outcome = planner.run_with(&backend).expect("valid config");
-        assert_eq!(outcome, reference, "shards = {shards}");
-        assert_eq!(
-            serde_json::to_string(&outcome.estimate).expect("serializable estimate"),
-            reference_estimate,
-            "shards = {shards}"
-        );
-        assert!(backend.take_faults().is_empty());
-    }
-}
-
 /// The full client/server stack (wire protocol + framing + sharding)
 /// returns the same bytes too, with rounds streamed in the same order
 /// the in-process observer sees them.

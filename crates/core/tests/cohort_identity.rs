@@ -1,20 +1,14 @@
-//! The cohort engine's bit-identity battery: the lockstep
-//! [`uavca_validation::SimEngine::Cohort`] path must produce **byte-identical**
-//! outcomes to the scalar per-encounter oracle for every cohort width,
-//! thread count and equipage mix — compaction/admission order, batched
-//! table lookups and SIMD-unrolled Q rows included. This is the contract
-//! that lets the cohort engine be the default without perturbing any
-//! published estimate.
+//! Identity of a cohort — one batch of mixed jobs flown through
+//! [`BatchRunner`] — with the single-run oracle
+//! [`EncounterRunner::run_once_with`], for configurations that take
+//! a special path inside the simulator.
 
 use std::sync::{Arc, OnceLock};
 
-use proptest::prelude::*;
 use uavca_acasx::{AcasConfig, LogicTable};
 use uavca_encounter::EncounterParams;
 use uavca_exec::Executor;
-use uavca_validation::{
-    BatchRunner, CampaignConfig, CampaignPlanner, EncounterRunner, Equipage, SimEngine, SimJob,
-};
+use uavca_validation::{BatchRunner, EncounterRunner, Equipage, SimEngine, SimJob};
 
 fn runner() -> EncounterRunner {
     static TABLE: OnceLock<Arc<LogicTable>> = OnceLock::new();
@@ -40,84 +34,8 @@ fn mixed_jobs(count: usize) -> Vec<SimJob> {
         .collect()
 }
 
-/// The core matrix: cohort widths 1 / odd / prime / default, thread
-/// counts 1 / 2 / 8, mixed equipage — all against the scalar engine, as
-/// serialized bytes.
-#[test]
-fn cohort_batches_are_byte_identical_to_scalar_for_all_widths_and_threads() {
-    let r = runner();
-    let jobs = mixed_jobs(21);
-    let scalar = BatchRunner::new(r.clone(), Executor::serial())
-        .engine(SimEngine::Scalar)
-        .run_batch(&jobs);
-    let scalar_bytes = serde_json::to_string(&scalar).expect("serializable outcomes");
-    for width in [1, 7, 13, 64] {
-        for threads in [1, 2, 8] {
-            let cohort = BatchRunner::new(r.clone(), Executor::new(threads))
-                .engine(SimEngine::Cohort { width })
-                .run_batch(&jobs);
-            assert_eq!(
-                serde_json::to_string(&cohort).expect("serializable outcomes"),
-                scalar_bytes,
-                "width {width}, threads {threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn cohort_paired_runs_are_byte_identical_to_scalar() {
-    let r = runner();
-    let params = EncounterParams::head_on_template();
-    let jobs = BatchRunner::repeated_paired_jobs(&params, 17, 900);
-    let scalar = BatchRunner::new(r.clone(), Executor::serial())
-        .engine(SimEngine::Scalar)
-        .run_paired(&jobs);
-    let scalar_bytes = serde_json::to_string(&scalar).expect("serializable outcomes");
-    for width in [1, 5, 64] {
-        for threads in [1, 8] {
-            let cohort = BatchRunner::new(r.clone(), Executor::new(threads))
-                .engine(SimEngine::Cohort { width })
-                .run_paired(&jobs);
-            assert_eq!(
-                serde_json::to_string(&cohort).expect("serializable outcomes"),
-                scalar_bytes,
-                "width {width}, threads {threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn run_repeated_on_the_cohort_engine_matches_the_serial_scalar_runner() {
-    let r = runner();
-    let params = EncounterParams::tail_approach_template();
-    let reference = r.run_repeated(&params, 25, 4000);
-    let cohort = BatchRunner::new(r.clone(), Executor::new(2))
-        .engine(SimEngine::Cohort { width: 8 })
-        .run_repeated(&params, 25, 4000);
-    assert_eq!(cohort, reference);
-}
-
-/// Degenerate engine settings must not change results: width 0 clamps to
-/// 1, width larger than the batch still fills in job order.
-#[test]
-fn extreme_widths_degrade_gracefully() {
-    let r = runner();
-    let jobs = mixed_jobs(5);
-    let scalar = BatchRunner::new(r.clone(), Executor::serial())
-        .engine(SimEngine::Scalar)
-        .run_batch(&jobs);
-    for width in [0, 1000] {
-        let cohort = BatchRunner::new(r.clone(), Executor::serial())
-            .engine(SimEngine::Cohort { width })
-            .run_batch(&jobs);
-        assert_eq!(cohort, scalar, "width {width}");
-    }
-}
-
-/// Trace-recording configurations silently use the scalar path (the
-/// cohort engine cannot record traces) rather than panicking.
+/// Trace recording runs on the scalar per-encounter path: the batch
+/// keeps job order and every outcome equals the single-run oracle.
 #[test]
 fn trace_recording_configs_fall_back_to_scalar() {
     let sim = uavca_sim::SimConfig {
@@ -126,78 +44,13 @@ fn trace_recording_configs_fall_back_to_scalar() {
     };
     let r = runner().sim_config(sim);
     let jobs = mixed_jobs(4);
-    let br = BatchRunner::new(r, Executor::serial()).engine(SimEngine::Cohort { width: 4 });
-    assert_eq!(br.current_engine(), SimEngine::Cohort { width: 4 });
-    // Must not panic, and job order is preserved.
-    assert_eq!(br.run_batch(&jobs).len(), jobs.len());
-}
-
-/// A full adaptive campaign driven through the cohort engine's
-/// `PairSource` serializes to the same bytes as the scalar-engine
-/// campaign, across shardable thread counts.
-#[test]
-fn campaigns_over_the_cohort_engine_match_the_scalar_oracle_byte_for_byte() {
-    let config = CampaignConfig {
-        seed: 42,
-        pilot_per_stratum: 6,
-        round_runs: 60,
-        max_rounds: 2,
-        target_half_width: f64::INFINITY,
-        threads: 1,
-    };
-    let planner = CampaignPlanner::new(runner(), config);
-    let scalar_source = BatchRunner::new(runner(), Executor::serial()).engine(SimEngine::Scalar);
-    let reference = planner.run_with(&scalar_source).expect("valid config");
-    let reference_bytes = serde_json::to_string(&reference.estimate).expect("serializable");
-    for width in [1, 16, 64] {
-        for threads in [1, 2] {
-            let source = BatchRunner::new(runner(), Executor::new(threads))
-                .engine(SimEngine::Cohort { width });
-            let outcome = planner.run_with(&source).expect("valid config");
-            assert_eq!(outcome, reference, "width {width}, threads {threads}");
-            assert_eq!(
-                serde_json::to_string(&outcome.estimate).expect("serializable"),
-                reference_bytes,
-                "width {width}, threads {threads}"
-            );
+    for threads in [1, 2] {
+        let br = BatchRunner::new(r.clone(), Executor::new(threads));
+        assert_eq!(br.current_engine(), SimEngine::Scalar);
+        let batch = br.run_batch(&jobs);
+        assert_eq!(batch.len(), jobs.len());
+        for (job, out) in jobs.iter().zip(&batch) {
+            assert_eq!(*out, r.run_once_with(&job.params, job.seed, job.equipage));
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random widths, thread counts, batch sizes, seeds and equipage
-    /// patterns: the cohort engine never deviates from the scalar oracle.
-    #[test]
-    fn cohort_engine_matches_scalar_on_random_batches(
-        width in 1usize..=24,
-        threads in 1usize..=4,
-        count in 1usize..=12,
-        seed_base in 0u64..=50_000,
-        equip_bits in 0u32..=0xFFF,
-    ) {
-        let r = runner();
-        let jobs: Vec<SimJob> = (0..count)
-            .map(|k| SimJob {
-                params: if k % 2 == 0 {
-                    EncounterParams::head_on_template()
-                } else {
-                    EncounterParams::tail_approach_template()
-                },
-                seed: seed_base + k as u64,
-                equipage: match (equip_bits >> k) & 1 {
-                    0 => Equipage::Both,
-                    _ => Equipage::Neither,
-                },
-            })
-            .collect();
-        let scalar = BatchRunner::new(r.clone(), Executor::serial())
-            .engine(SimEngine::Scalar)
-            .run_batch(&jobs);
-        let cohort = BatchRunner::new(r.clone(), Executor::new(threads))
-            .engine(SimEngine::Cohort { width })
-            .run_batch(&jobs);
-        prop_assert_eq!(cohort, scalar);
     }
 }

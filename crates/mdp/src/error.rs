@@ -55,15 +55,6 @@ pub enum MdpError {
         /// Dimensions supplied by the caller.
         got: usize,
     },
-    /// The per-axis slices of a batched grid query had unequal lengths.
-    RaggedBatch {
-        /// Index of the offending axis slice.
-        axis: usize,
-        /// Query count of the first axis slice.
-        expected: usize,
-        /// Query count of the offending axis slice.
-        got: usize,
-    },
 }
 
 impl fmt::Display for MdpError {
@@ -111,14 +102,6 @@ impl fmt::Display for MdpError {
             MdpError::DimensionMismatch { expected, got } => {
                 write!(f, "expected {expected} dimensions, got {got}")
             }
-            MdpError::RaggedBatch {
-                axis,
-                expected,
-                got,
-            } => write!(
-                f,
-                "batched query axis {axis} has {got} entries, expected {expected}"
-            ),
         }
     }
 }

@@ -165,8 +165,7 @@ pub(crate) mod rand_distr_shim {
     /// Per-seed draw sequences changed when this switched from Box–Muller to
     /// the ziggurat (both the values and the number of `u64`s consumed per
     /// call), but the determinism contract is unchanged: a given seed still
-    /// yields one stable stream, shared bit-for-bit by the scalar and cohort
-    /// simulation paths.
+    /// yields one stable stream.
     pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         let t = tables();
         loop {

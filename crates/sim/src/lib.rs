@@ -13,10 +13,7 @@
 //! * monitors — the paper's *Proximity Measurer* and *Accident Detector* —
 //!   aggregated into an [`EncounterOutcome`], and
 //! * [`EncounterWorld`]: the headless step loop, with an optional
-//!   [`Trace`] recorder replacing the paper's visualization mode, and
-//! * [`EncounterCohort`]: the lockstep batch engine that advances many
-//!   encounters together so per-tick policy queries can be vectorized,
-//!   byte-identical to running each encounter through [`EncounterWorld`].
+//!   [`Trace`] recorder replacing the paper's visualization mode.
 //!
 //! # Example
 //!
@@ -47,7 +44,6 @@
 
 mod adsb;
 mod avoider;
-mod cohort;
 mod config;
 mod coordination;
 mod monitors;
@@ -62,7 +58,6 @@ mod world;
 
 pub use adsb::{AdsbReport, AdsbSensor, SensorNoise};
 pub use avoider::{AvoiderContext, CollisionAvoider, ManeuverCommand, Sense, SenseSet, Unequipped};
-pub use cohort::{CohortAvoider, CohortContext, CohortJob, EncounterCohort, UnequippedCohort};
 pub use config::{DisturbanceModel, SimConfig};
 pub use coordination::{CoordinationBoard, MultiCoordinationBoard};
 pub use multi::{
