@@ -5,12 +5,13 @@
 //! The server is a single readiness loop over the [`Transport`] seam —
 //! epoll-style without external deps. Each sweep it (1) accepts any
 //! waiting TCP client, (2) polls every session for at most one request
-//! with a bounded [`Transport::recv_deadline`] wait, (3) advances the
-//! [`ControlPlane`] a few scheduling quanta (fair-share dispatch of the
-//! least-served campaign), and (4) fans completed rounds and terminal
-//! results out to the sessions streaming them. One slow or silent
-//! client can no longer monopolize the fleet: its session just stays
-//! quiet while other campaigns' quanta keep flowing.
+//! through [`Transport::recv_deadline`] — a zero-wait poll while
+//! campaign work is runnable, a short bounded wait when idle — (3)
+//! advances the [`ControlPlane`] a few scheduling quanta (fair-share
+//! dispatch of the least-served campaign), and (4) fans completed
+//! rounds and terminal results out to the sessions streaming them.
+//! One slow or silent client can no longer monopolize the fleet: its
+//! session just stays quiet while other campaigns' quanta keep flowing.
 //!
 //! Sessions speak either the legacy single-campaign protocol
 //! ([`Request::RunCampaign`] — created unsupervised on the control
@@ -40,14 +41,16 @@ use crate::protocol::{decode, Event, Request};
 use crate::transport::{send_msg, RecvOutcome, TcpTransport, Transport};
 use crate::{ServeError, ShardedBackend, TransportError};
 
-/// Bounded wait per session poll while campaign work is pending.
-const POLL_BUSY: Duration = Duration::from_millis(1);
-
-/// Bounded wait per session poll when the plane is idle.
+/// Bounded wait per session poll when the plane is idle. While campaign
+/// work is runnable, sessions are polled with a zero deadline instead:
+/// any wait there idles the whole shard fleet, and a nominal 1 ms
+/// socket timeout really waits several milliseconds.
 const POLL_IDLE: Duration = Duration::from_millis(10);
 
-/// Control-plane quanta dispatched per sweep: enough to amortize the
-/// session polls, small enough that new requests stay responsive.
+/// Control-plane quanta dispatched per sweep: few enough that a new
+/// request waits at most this many quanta, and the fixed bound behind
+/// the race guarantee that one request per session per sweep gives
+/// (a `Create` queued with a `Pause` lands it mid-flight).
 const TICKS_PER_SWEEP: usize = 16;
 
 /// How a client session ended — the signal [`CampaignServer::serve_tcp`]
@@ -213,7 +216,7 @@ impl CampaignServer {
                 self.accept_clients(listener, &mut sessions, &mut next_sid)?;
             }
             let timeout = if plane.has_runnable() {
-                POLL_BUSY
+                Duration::ZERO
             } else {
                 POLL_IDLE
             };

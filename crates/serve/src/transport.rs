@@ -92,10 +92,15 @@ pub trait Transport: Send {
     /// bound its wait reports [`RecvOutcome::TimedOut`] when the
     /// deadline passes with no complete line.
     ///
+    /// A zero `timeout` is a poll on both shipped transports: it
+    /// returns a line that has already arrived, or
+    /// [`RecvOutcome::TimedOut`] without waiting at all.
+    ///
     /// The default implementation cannot bound the wait — it delegates
-    /// to the blocking [`Transport::recv`] and never times out. Both
-    /// shipped transports override it; a rig that deliberately hangs
-    /// should too, or a timeout-armed coordinator will block on it.
+    /// to the blocking [`Transport::recv`] and never times out, even
+    /// for a zero `timeout`. Both shipped transports override it; a rig
+    /// that deliberately hangs should too, or a timeout-armed
+    /// coordinator will block on it.
     ///
     /// # Errors
     ///
@@ -234,14 +239,52 @@ impl TcpTransport {
     }
 
     /// Arms or disarms the socket read timeout around one receive.
+    /// Callers never pass a zero timeout (`SO_RCVTIMEO` rejects it):
+    /// a zero deadline is a non-blocking poll instead.
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        // `set_read_timeout(Some(0))` is an invalid argument; the
-        // coordinator's floor is milliseconds anyway, so clamp.
-        let timeout = timeout.map(|t| t.max(Duration::from_millis(1)));
         self.reader
             .get_ref()
             .set_read_timeout(timeout)
             .map_err(|e| TransportError::Io(e.to_string()))
+    }
+
+    /// The zero-deadline receive: a line already buffered, else
+    /// non-blocking reads until a line completes or the socket has
+    /// nothing more. A short timeout cannot stand in for it: a 1 ms
+    /// `SO_RCVTIMEO` measured ~8 ms of real waiting on a 2-vCPU Linux
+    /// host.
+    fn poll(&mut self) -> Result<RecvOutcome, TransportError> {
+        // The reader and writer share one open file description, so the
+        // mode switch reaches the reader through the writer's handle; the
+        // guard puts blocking mode back on every path.
+        let _nonblocking = if self.reader.buffer().contains(&b'\n') {
+            None
+        } else {
+            Some(NonBlocking::set(&self.writer)?)
+        };
+        read_framed_line_pending(&mut self.reader, &mut self.pending, MAX_FRAME_BYTES)
+    }
+}
+
+/// Holds a socket in non-blocking mode until dropped. `O_NONBLOCK`
+/// lives on the open file description, which `try_clone` shares, so
+/// leaving it set would also turn the transport's writes non-blocking.
+struct NonBlocking<'a>(&'a TcpStream);
+
+impl<'a> NonBlocking<'a> {
+    fn set(stream: &'a TcpStream) -> Result<Self, TransportError> {
+        stream
+            .set_nonblocking(true)
+            .map_err(|e| TransportError::Io(e.to_string()))?;
+        Ok(Self(stream))
+    }
+}
+
+impl Drop for NonBlocking<'_> {
+    fn drop(&mut self) {
+        // A failure here leaves the descriptor non-blocking; the next
+        // blocking read or write then surfaces it as an I/O error.
+        let _ = self.0.set_nonblocking(false);
     }
 }
 
@@ -373,6 +416,9 @@ impl Transport for TcpTransport {
     }
 
     fn recv_deadline(&mut self, timeout: Duration) -> Result<RecvOutcome, TransportError> {
+        if timeout.is_zero() {
+            return self.poll();
+        }
         // The socket timeout bounds each read, not the whole receive;
         // for the coordinator's loss detector — "has this shard said
         // anything lately" — a per-read bound is exactly the question.
@@ -462,6 +508,131 @@ mod tests {
         // mid-flight: nothing of "hel" was lost.
         assert_eq!(client.recv().unwrap().as_deref(), Some("hello"));
         server.join().unwrap();
+    }
+
+    /// A connected loopback pair: the transport under test and the raw
+    /// peer stream that feeds it.
+    fn tcp_pair() -> (TcpTransport, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        (client, peer)
+    }
+
+    /// Polls with a zero deadline until something other than a timeout
+    /// comes back; loopback delivery is not instantaneous, and nothing
+    /// here may depend on how long it takes.
+    fn poll_until_ready(t: &mut TcpTransport) -> Result<RecvOutcome, TransportError> {
+        loop {
+            match t.recv_deadline(Duration::ZERO) {
+                Ok(RecvOutcome::TimedOut) => std::thread::yield_now(),
+                other => return other,
+            }
+        }
+    }
+
+    #[test]
+    fn channel_zero_deadline_polls_without_waiting() {
+        let (mut a, mut b) = channel_pair();
+        assert_eq!(
+            a.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+        b.send("queued").unwrap();
+        assert_eq!(
+            a.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::Line("queued".to_string())
+        );
+        drop(b);
+        assert_eq!(
+            a.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::Closed
+        );
+    }
+
+    #[test]
+    fn tcp_zero_deadline_on_an_empty_socket_times_out() {
+        let (mut client, _peer) = tcp_pair();
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+    }
+
+    #[test]
+    fn tcp_zero_deadline_keeps_half_a_frame_until_the_rest_arrives() {
+        let (mut client, mut peer) = tcp_pair();
+        peer.write_all(b"hel").unwrap();
+        // Poll until the half frame has been read into `pending`: every
+        // poll before the newline must report a timeout.
+        while client.pending.is_empty() {
+            assert_eq!(
+                client.recv_deadline(Duration::ZERO).unwrap(),
+                RecvOutcome::TimedOut
+            );
+        }
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+        // The rest of the frame plus one whole line behind it: the first
+        // poll that sees the newline returns the exact line, the next
+        // returns the line that followed it.
+        peer.write_all(b"lo\nnext\n").unwrap();
+        assert_eq!(
+            poll_until_ready(&mut client).unwrap(),
+            RecvOutcome::Line("hello".to_string())
+        );
+        assert_eq!(
+            poll_until_ready(&mut client).unwrap(),
+            RecvOutcome::Line("next".to_string())
+        );
+        drop(peer);
+        assert_eq!(poll_until_ready(&mut client).unwrap(), RecvOutcome::Closed);
+    }
+
+    #[test]
+    fn tcp_zero_deadline_restores_blocking_mode_on_every_path() {
+        let (mut client, peer) = tcp_pair();
+        let (go_tx, go_rx) = channel::<&'static [u8]>();
+        let mut writer = peer.try_clone().unwrap();
+        let feeder = std::thread::spawn(move || {
+            while let Ok(bytes) = go_rx.recv() {
+                writer.write_all(bytes).unwrap();
+            }
+        });
+        // The timeout path.
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+        // The error path: a frame that is not UTF-8.
+        go_tx.send(b"\xff\n").unwrap();
+        assert!(matches!(
+            poll_until_ready(&mut client),
+            Err(TransportError::Io(_))
+        ));
+        // A blocking receive issued before the peer writes must wait for
+        // the line rather than fail with `WouldBlock`.
+        go_tx.send(b"after\n").unwrap();
+        assert_eq!(client.recv().unwrap().as_deref(), Some("after"));
+        // Writes share the file description: a send far larger than the
+        // socket buffers must block until the peer drains it, not fail
+        // half-written.
+        let drain = std::thread::spawn(move || {
+            let mut line = String::new();
+            BufReader::new(peer).read_line(&mut line).unwrap();
+            line.len()
+        });
+        let big = "x".repeat(8 << 20);
+        client.send(&big).unwrap();
+        assert_eq!(drain.join().unwrap(), big.len() + 1);
+        drop(go_tx);
+        feeder.join().unwrap();
     }
 
     #[test]

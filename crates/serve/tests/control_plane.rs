@@ -6,15 +6,17 @@
 //! server silently swallowed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 use uavca_acasx::{AcasConfig, LogicTable};
 use uavca_encounter::{EncounterParams, StatisticalEncounterModel, Stratification};
 use uavca_serve::{
     channel_pair, recv_msg, send_msg, spawn_in_process, CampaignBackend, CampaignClient,
     CampaignId, CampaignNotice, CampaignRequest, CampaignResult, CampaignServer, CampaignSpec,
-    CampaignState, Checkpoint, ControlEvent, ControlPlane, Event, Request, ServeError, SessionEnd,
-    ShardedBackend, SplitCampaignRequest, TcpTransport, Transport,
+    CampaignState, ChannelTransport, Checkpoint, ControlEvent, ControlPlane, Event, RecvOutcome,
+    Request, ServeError, SessionEnd, ShardedBackend, SplitCampaignRequest, TcpTransport, Transport,
+    TransportError,
 };
 use uavca_validation::{
     BatchRunner, CampaignConfig, CampaignOutcome, CampaignPlanner, EncounterRunner, PairSource,
@@ -626,4 +628,132 @@ fn run_splits_round_trips_and_a_split_planner_drives_the_remote_service() {
         server.join().expect("clean session end"),
         SessionEnd::ShutdownRequested
     );
+}
+
+/// What the server side of one session did, in order: each poll's
+/// deadline, interleaved with each line the server sent.
+#[derive(Debug, Clone, PartialEq)]
+enum SessionStep {
+    Poll(Duration),
+    Sent(String),
+}
+
+/// A channel session that records every poll deadline and every sent
+/// line into a shared journal.
+struct RecordingSession {
+    inner: ChannelTransport,
+    journal: Arc<Mutex<Vec<SessionStep>>>,
+}
+
+impl Transport for RecordingSession {
+    fn send(&mut self, line: &str) -> Result<(), TransportError> {
+        self.journal
+            .lock()
+            .unwrap()
+            .push(SessionStep::Sent(line.to_string()));
+        self.inner.send(line)
+    }
+
+    fn recv(&mut self) -> Result<Option<String>, TransportError> {
+        self.inner.recv()
+    }
+
+    fn recv_deadline(&mut self, timeout: Duration) -> Result<RecvOutcome, TransportError> {
+        self.journal
+            .lock()
+            .unwrap()
+            .push(SessionStep::Poll(timeout));
+        self.inner.recv_deadline(timeout)
+    }
+}
+
+/// Creates and streams one campaign on a recording session and returns
+/// the deadlines of every session poll made between the
+/// `CampaignCreated` reply and the terminal event.
+fn polls_while_the_campaign_runs(spec: CampaignSpec) -> Vec<Duration> {
+    let server = CampaignServer::new(runner(), ShardedBackend::spawn_local(runner(), 2, 1));
+    let (mut client_end, server_end) = channel_pair();
+    let journal = Arc::new(Mutex::new(Vec::new()));
+    let session = RecordingSession {
+        inner: server_end,
+        journal: journal.clone(),
+    };
+    // Queue Create and Stream back to back: the loop reads Stream one
+    // sweep after Create, at most 16 quanta later, so a campaign longer
+    // than that is still running when it is subscribed and its terminal
+    // event comes from the stream itself.
+    send_msg(
+        &mut client_end,
+        &Request::Create {
+            spec,
+            checkpoint: None,
+        },
+    )
+    .unwrap();
+    send_msg(&mut client_end, &Request::Stream { id: CampaignId(0) }).unwrap();
+    let handle = std::thread::spawn(move || server.serve_sessions(vec![Box::new(session)]));
+    loop {
+        match recv_msg::<Event>(&mut client_end).unwrap().unwrap() {
+            Event::CampaignCreated { .. } | Event::CampaignRound { .. } => {}
+            Event::CampaignFinished { .. } => break,
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    drop(client_end);
+    handle.join().unwrap().unwrap();
+
+    let journal = journal.lock().unwrap();
+    let sent = |prefix: &str| {
+        journal
+            .iter()
+            .position(|step| matches!(step, SessionStep::Sent(line) if line.contains(prefix)))
+            .unwrap_or_else(|| panic!("no {prefix} line was sent"))
+    };
+    let created = sent("CampaignCreated");
+    let finished = sent("CampaignFinished");
+    let rounds = journal[created..finished]
+        .iter()
+        .filter(|step| matches!(step, SessionStep::Sent(line) if line.contains("CampaignRound")))
+        .count();
+    assert!(rounds > 0, "the campaign was streamed while it ran");
+    journal[created..finished]
+        .iter()
+        .filter_map(|step| match step {
+            SessionStep::Poll(timeout) => Some(*timeout),
+            SessionStep::Sent(_) => None,
+        })
+        .collect()
+}
+
+#[test]
+fn the_server_never_waits_on_a_session_while_campaign_work_is_runnable() {
+    // 32 pilot + 6 × 96 pairs = 19 paired quanta.
+    let paired = CampaignSpec::Paired {
+        request: CampaignRequest {
+            config: CampaignConfig {
+                seed: 7,
+                pilot_per_stratum: 4,
+                round_runs: 96,
+                max_rounds: 6,
+                target_half_width: f64::INFINITY,
+                threads: 1,
+            },
+            model: Default::default(),
+            cpa_bins: 2,
+            uniform: false,
+        },
+    };
+    // 24 pilot + 3 × 64 roots = 27 splitting quanta.
+    let mut request = split_request();
+    request.config.round_roots = 64;
+    request.config.max_rounds = 3;
+    let splitting = CampaignSpec::Splitting { request };
+    for spec in [paired, splitting] {
+        let polls = polls_while_the_campaign_runs(spec);
+        assert!(!polls.is_empty(), "the session was polled mid-campaign");
+        assert!(
+            polls.iter().all(|t| t.is_zero()),
+            "every poll while work was runnable must be zero-wait, got {polls:?}"
+        );
+    }
 }
