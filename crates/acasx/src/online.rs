@@ -132,11 +132,9 @@ fn advisory_command(advisory: Advisory, own_rate_fps: f64) -> Option<ManeuverCom
 pub struct AcasXu {
     table: Arc<LogicTable>,
     previous: Advisory,
-    /// Cached per-decision constants: the table horizon in seconds and the
-    /// state-offset base of `previous`'s block, refreshed only when the
-    /// advisory changes instead of being recomputed every `decide`.
+    /// The table horizon in seconds, cached instead of being recomputed
+    /// every `decide`.
     horizon_s: f64,
-    prev_offset: usize,
     /// Q-value bonus retained by the current advisory (anti-chattering).
     hysteresis_bonus: f64,
     /// Projected-miss-distance alerting threshold, ft.
@@ -153,12 +151,10 @@ impl AcasXu {
     /// 3000 ft, no track smoothing).
     pub fn new(table: Arc<LogicTable>) -> Self {
         let horizon_s = table.horizon_s();
-        let prev_offset = table.prev_offset(Advisory::Coc);
         Self {
             table,
             previous: Advisory::Coc,
             horizon_s,
-            prev_offset,
             hysteresis_bonus: 3.0,
             hmd_threshold_ft: 1500.0,
             dmod_ft: 3000.0,
@@ -225,23 +221,19 @@ impl AcasXu {
         let eligible = alerting_eligible(&tau, self.horizon_s, self.hmd_threshold_ft, self.dmod_ft);
 
         let advisory = if eligible {
-            self.table.best_advisory_masked_with_offset(
+            self.table.best_advisory_masked(
                 rel_pos.z,
                 ctx.own.velocity.z,
                 intruder_vel.z,
                 tau.tau_s,
                 self.previous,
-                self.prev_offset,
                 decision_mask(self.previous, forbidden),
                 effective_hysteresis(self.previous, self.hysteresis_bonus),
             )
         } else {
             Advisory::Coc
         };
-        if advisory != self.previous {
-            self.previous = advisory;
-            self.prev_offset = self.table.prev_offset(advisory);
-        }
+        self.previous = advisory;
 
         advisory_command(advisory, ctx.own.velocity.z)
     }
@@ -266,7 +258,6 @@ impl CollisionAvoider for AcasXu {
 
     fn reset(&mut self) {
         self.previous = Advisory::Coc;
-        self.prev_offset = self.table.prev_offset(Advisory::Coc);
         if let Some(tracker) = &mut self.tracker {
             tracker.reset();
         }

@@ -17,28 +17,34 @@ use crate::{AcasConfig, Advisory, AdvisorySet, VerticalMdp};
 ///
 /// # Storage layout
 ///
-/// The Q data is one contiguous stage-major buffer:
-/// `q[((k - 1) * states_per_stage + s) * 7 + a]`, where
-/// `s = previous.index() * grid_points + grid_flat` and `a` is the advisory
-/// index. A lookup therefore reads, per interpolation corner, the full
-/// 7-advisory row contiguously (corner-outer / action-inner accumulation) —
-/// ~8 contiguous row FMAs per stage instead of an action-outer re-walk of
-/// scattered per-stage tables. The serialized (JSON) representation keeps
-/// the historical per-stage `QTable` format for compatibility.
+/// The table is stored factored. A Q value is
+/// `Q(previous, g, a) = r(previous, a) + γ · E_k[g, a]`, where only the
+/// reward depends on the previous advisory and only the expectation
+/// depends on the grid point (see [`solve`](Self::solve)). So the table
+/// keeps the 7×7 reward table `r[previous][a]` and one contiguous
+/// stage-major buffer of discounted expectations,
+/// `e[((k - 1) * grid_points + g) * 7 + a] = γ · E_k[g, a]`, one 7-advisory
+/// row per (stage, grid point) instead of seven per-previous-advisory
+/// copies. A lookup rebuilds each interpolation corner's Q row as
+/// `r[previous][a] + e[a]`, the same `f64` expression the solve evaluates,
+/// so every looked-up value is bit-identical to a lookup over the
+/// materialized Q rows. The serialized (JSON) representation keeps the
+/// historical per-stage `QTable` format, derived row by row.
 #[derive(Debug, Clone)]
 pub struct LogicTable {
     config: AcasConfig,
     grid: RectGrid,
     num_stages: usize,
-    /// `Advisory::COUNT * grid.num_points()` — the state count of one stage.
-    states_per_stage: usize,
-    /// Stage-major contiguous Q buffer (see the layout note above).
-    q: Vec<f64>,
+    /// `reward[previous][a]`: the reward of advisory `a` issued after
+    /// `previous`, identical at every grid point and stage.
+    reward: [[f64; Advisory::COUNT]; Advisory::COUNT],
+    /// Stage-major discounted expectations (see the layout note above).
+    e: Vec<f64>,
 }
 
 /// The serialized (wire) shape of a [`LogicTable`]: the historical
-/// per-stage representation, kept so tables saved before the
-/// structure-of-arrays repack still load.
+/// per-stage representation of the full Q table, kept so tables saved by
+/// earlier versions still load.
 #[derive(Debug, Serialize, Deserialize)]
 struct LogicTableRepr {
     config: AcasConfig,
@@ -58,18 +64,20 @@ impl LogicTable {
     /// so they are generated once (through [`VerticalMdp`]'s
     /// `transitions_into`) and reused by every stage, and rewards depend
     /// only on `(previous, action)`, so each stage computes one expectation
-    /// `E[g, a] = Σ p · V[next]` per grid point and action and writes
-    /// `Q(previous, g, a) = r(previous, a) + γ · E[g, a]` for all 7
+    /// `E[g, a] = Σ p · V[next]` per grid point and action. It stores the
+    /// discounted row `γ · E[g, a]` once (the layout note on
+    /// [`LogicTable`]) and computes the next stage's values
+    /// `V(previous, g) = max_a (r(previous, a) + γ · E[g, a])` for all 7
     /// previous advisories. The sums run in transition order and use the
     /// same expressions as [`uavca_mdp::BackwardInduction`], so every Q
-    /// value is bit-identical to the generic solver's.
+    /// value a lookup or [`save`](Self::save) rebuilds is bit-identical to
+    /// the generic solver's.
     pub fn solve(config: &AcasConfig) -> LogicTable {
         const NA: usize = Advisory::COUNT;
         // 9 successors, each interpolated over at most 2³ grid corners.
         const MAX_ROW: usize = 9 * 8;
         let model = VerticalMdp::new(config.clone());
         let gp = model.grid_points();
-        let states_per_stage = NA * gp;
         let gamma = model.discount();
 
         // Row `g * NA + a` holds the transitions of grid point `g` under
@@ -97,29 +105,26 @@ impl LogicTable {
             std::array::from_fn(|p| std::array::from_fn(|a| model.reward(p * gp, a)));
 
         let num_stages = config.num_stages();
-        let stage_len = states_per_stage * NA;
-        let mut q = vec![0.0; num_stages * stage_len];
+        let mut e = vec![0.0; num_stages * gp * NA];
         let mut values = model.terminal_values();
-        let mut next_values = vec![0.0; states_per_stage];
-        for stage in q.chunks_exact_mut(stage_len) {
-            for g in 0..gp {
-                let mut expect = [0.0; NA];
+        let mut next_values = vec![0.0; NA * gp];
+        for stage in e.chunks_exact_mut(gp * NA) {
+            for (g, row) in stage.chunks_exact_mut(NA).enumerate() {
                 let bounds = offsets[g * NA..=(g + 1) * NA].windows(2);
-                for (e, bound) in expect.iter_mut().zip(bounds) {
+                for (slot, bound) in row.iter_mut().zip(bounds) {
                     let (lo, hi) = (bound[0], bound[1]);
                     let mut acc = 0.0;
                     for (&n, &p) in next[lo..hi].iter().zip(&prob[lo..hi]) {
                         acc += p * values[n as usize];
                     }
-                    *e = acc;
+                    *slot = gamma * acc;
                 }
                 for (p, r) in reward.iter().enumerate() {
-                    let s = p * gp + g;
-                    let row = &mut stage[s * NA..(s + 1) * NA];
-                    for ((slot, &r), &e) in row.iter_mut().zip(r).zip(&expect) {
-                        *slot = r + gamma * e;
-                    }
-                    next_values[s] = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    next_values[p * gp + g] = r
+                        .iter()
+                        .zip(&*row)
+                        .map(|(&r, &e)| r + e)
+                        .fold(f64::NEG_INFINITY, f64::max);
                 }
             }
             std::mem::swap(&mut values, &mut next_values);
@@ -128,13 +133,40 @@ impl LogicTable {
             config: config.clone(),
             grid: model.grid().clone(),
             num_stages,
-            states_per_stage,
-            q,
+            reward,
+            e,
         }
     }
 
-    /// Packs per-stage Q-tables into the contiguous stage-major buffer,
-    /// validating every shape against `config` first (the checks
+    /// The Q row of state `s = previous * grid_points + g` at stage `k`
+    /// (1-based), rebuilt from the factored storage. Cold path: the lookup
+    /// rebuilds rows inside its accumulation instead.
+    fn q_row(&self, k: usize, s: usize) -> [f64; Advisory::COUNT] {
+        let gp = self.grid.num_points();
+        let r = &self.reward[s / gp];
+        let e = row7(self.stage(k), s % gp);
+        std::array::from_fn(|a| r[a] + e[a])
+    }
+
+    /// Derives the per-stage Q-tables (the serialization shape) from the
+    /// factored storage. Cold path: allocates freely.
+    fn to_stage_q(&self) -> Vec<QTable> {
+        let states_per_stage = Advisory::COUNT * self.grid.num_points();
+        (1..=self.num_stages)
+            .map(|k| {
+                let values = (0..states_per_stage)
+                    .flat_map(|s| self.q_row(k, s))
+                    .collect();
+                QTable::from_values(states_per_stage, Advisory::COUNT, values)
+                    .expect("rows are exactly 7 advisories wide")
+            })
+            .collect()
+    }
+
+    /// Rebuilds a table from its serialized parts: validates every shape
+    /// against `config` (so the solve below costs no more than the file
+    /// already holds), solves `config`, and accepts `stage_q` only if it
+    /// equals the solved table bit for bit (the checks
     /// [`load`](Self::load) relies on to reject inconsistent files).
     fn from_parts(
         config: AcasConfig,
@@ -158,7 +190,6 @@ impl LogicTable {
             ));
         }
         let states_per_stage = Advisory::COUNT * grid.num_points();
-        let mut q = Vec::with_capacity(stage_q.len() * states_per_stage * Advisory::COUNT);
         for (k, stage) in stage_q.iter().enumerate() {
             if stage.num_states() != states_per_stage
                 || stage.num_actions() != Advisory::COUNT
@@ -174,30 +205,24 @@ impl LogicTable {
                     Advisory::COUNT
                 ));
             }
+        }
+        let table = LogicTable::solve(&config);
+        for (k, stage) in (1..).zip(&stage_q) {
             for s in 0..states_per_stage {
-                q.extend_from_slice(stage.row(s));
+                let want = table.q_row(k, s);
+                if let Some(a) =
+                    (0..Advisory::COUNT).find(|&a| stage.get(s, a).to_bits() != want[a].to_bits())
+                {
+                    return Err(format!(
+                        "stage {k} state {s} action {a}: stored Q value {} differs from \
+                         the {} its configuration solves to",
+                        stage.get(s, a),
+                        want[a]
+                    ));
+                }
             }
         }
-        Ok(LogicTable {
-            config,
-            grid,
-            num_stages: stage_q.len(),
-            states_per_stage,
-            q,
-        })
-    }
-
-    /// Unpacks the contiguous buffer back into per-stage Q-tables (the
-    /// serialization shape). Cold path: allocates freely.
-    fn to_stage_q(&self) -> Vec<QTable> {
-        let stage_len = self.states_per_stage * Advisory::COUNT;
-        self.q
-            .chunks_exact(stage_len)
-            .map(|chunk| {
-                QTable::from_values(self.states_per_stage, Advisory::COUNT, chunk.to_vec())
-                    .expect("stage chunk length matches by construction")
-            })
-            .collect()
+        Ok(table)
     }
 
     /// The configuration the table was generated from.
@@ -215,17 +240,11 @@ impl LogicTable {
         self.num_stages as f64 * self.config.dynamics.dt_s
     }
 
-    /// Approximate in-memory size of the Q data, bytes.
+    /// Stored table bytes: the discounted expectation rows,
+    /// `num_stages × grid_points × 7 × 8` (the 7×7 reward table is not
+    /// counted).
     pub fn q_bytes(&self) -> usize {
-        self.q.len() * 8
-    }
-
-    /// The state-offset base of `previous`'s block within a stage
-    /// (`previous.index() * grid_points`) — cacheable by callers that hold
-    /// an advisory across many lookups, e.g. [`crate::AcasXu`].
-    #[inline]
-    pub(crate) fn prev_offset(&self, previous: Advisory) -> usize {
-        previous.index() * self.grid.num_points()
+        self.e.len() * 8
     }
 
     /// τ-stage blending: the two bracketing stages and the upper fraction.
@@ -239,11 +258,11 @@ impl LogicTable {
         (k_lo, k_hi, t - k_lo as f64)
     }
 
-    /// The Q rows of stage `k` (1-based, as in the τ blend).
+    /// The expectation rows of stage `k` (1-based, as in the τ blend).
     #[inline]
     fn stage(&self, k: usize) -> &[f64] {
-        let stage_len = self.states_per_stage * Advisory::COUNT;
-        &self.q[(k - 1) * stage_len..k * stage_len]
+        let stage_len = self.grid.num_points() * Advisory::COUNT;
+        &self.e[(k - 1) * stage_len..k * stage_len]
     }
 
     /// The full lookup for one query whose kinematic corners are already
@@ -260,9 +279,10 @@ impl LogicTable {
         &self,
         corners: &InterpCorners,
         tau_s: f64,
-        prev_offset: usize,
+        previous: Advisory,
     ) -> [f64; Advisory::COUNT] {
         let (k_lo, k_hi, frac) = self.tau_blend(tau_s);
+        let r = &self.reward[previous.index()];
         let lo = self.stage(k_lo);
         let indices = corners.indices();
         let weights = corners.weights();
@@ -271,24 +291,19 @@ impl LogicTable {
         if k_lo == k_hi {
             let mut i = 0;
             while i + 1 < indices.len() {
-                fma_row(&mut acc0, row7(lo, prev_offset + indices[i]), weights[i]);
-                fma_row(
-                    &mut acc1,
-                    row7(lo, prev_offset + indices[i + 1]),
-                    weights[i + 1],
-                );
+                fma_row(&mut acc0, r, row7(lo, indices[i]), weights[i]);
+                fma_row(&mut acc1, r, row7(lo, indices[i + 1]), weights[i + 1]);
                 i += 2;
             }
             if i < indices.len() {
-                fma_row(&mut acc0, row7(lo, prev_offset + indices[i]), weights[i]);
+                fma_row(&mut acc0, r, row7(lo, indices[i]), weights[i]);
             }
         } else {
             let hi = self.stage(k_hi);
             let (w_lo, w_hi) = (1.0 - frac, frac);
-            for (&idx, &w) in indices.iter().zip(weights) {
-                let state = prev_offset + idx;
-                fma_row(&mut acc0, row7(lo, state), w * w_lo);
-                fma_row(&mut acc1, row7(hi, state), w * w_hi);
+            for (&g, &w) in indices.iter().zip(weights) {
+                fma_row(&mut acc0, r, row7(lo, g), w * w_lo);
+                fma_row(&mut acc1, r, row7(hi, g), w * w_hi);
             }
         }
         let mut out = [0.0; Advisory::COUNT];
@@ -304,7 +319,8 @@ impl LogicTable {
     /// Kinematics are clamped to the grid box; τ is clamped to
     /// `[dt, horizon]` and blended linearly between the bracketing stages.
     /// Performs no heap allocation: the interpolation corners live on the
-    /// stack and the Q rows are read contiguously.
+    /// stack and the expectation rows are read contiguously.
+    #[inline]
     pub fn q_values(
         &self,
         h_ft: f64,
@@ -313,31 +329,11 @@ impl LogicTable {
         tau_s: f64,
         previous: Advisory,
     ) -> [f64; Advisory::COUNT] {
-        self.q_values_with_offset(
-            h_ft,
-            own_rate_fps,
-            intruder_rate_fps,
-            tau_s,
-            self.prev_offset(previous),
-        )
-    }
-
-    /// [`q_values`](Self::q_values) with the previous-advisory offset
-    /// already resolved (see [`prev_offset`](Self::prev_offset)).
-    #[inline]
-    pub(crate) fn q_values_with_offset(
-        &self,
-        h_ft: f64,
-        own_rate_fps: f64,
-        intruder_rate_fps: f64,
-        tau_s: f64,
-        prev_offset: usize,
-    ) -> [f64; Advisory::COUNT] {
         let mut corners = InterpCorners::empty();
         self.grid
             .interp_weights_into(&[h_ft, own_rate_fps, intruder_rate_fps], &mut corners)
             .expect("arity matches the 3-D grid");
-        self.q_values_at(&corners, tau_s, prev_offset)
+        self.q_values_at(&corners, tau_s, previous)
     }
 
     /// The best advisory at a continuous state, with optional coordination
@@ -371,6 +367,7 @@ impl LogicTable {
     /// mask. COC is a member of every [`AdvisorySet`], so a decision always
     /// exists.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn best_advisory_masked(
         &self,
         h_ft: f64,
@@ -381,36 +378,7 @@ impl LogicTable {
         allowed: AdvisorySet,
         hysteresis_bonus: f64,
     ) -> Advisory {
-        self.best_advisory_masked_with_offset(
-            h_ft,
-            own_rate_fps,
-            intruder_rate_fps,
-            tau_s,
-            previous,
-            self.prev_offset(previous),
-            allowed,
-            hysteresis_bonus,
-        )
-    }
-
-    /// [`best_advisory_masked`](Self::best_advisory_masked) with the
-    /// previous-advisory offset already resolved, so per-step callers
-    /// (e.g. [`crate::AcasXu`]) can cache it across decisions.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn best_advisory_masked_with_offset(
-        &self,
-        h_ft: f64,
-        own_rate_fps: f64,
-        intruder_rate_fps: f64,
-        tau_s: f64,
-        previous: Advisory,
-        prev_offset: usize,
-        allowed: AdvisorySet,
-        hysteresis_bonus: f64,
-    ) -> Advisory {
-        let q =
-            self.q_values_with_offset(h_ft, own_rate_fps, intruder_rate_fps, tau_s, prev_offset);
+        let q = self.q_values(h_ft, own_rate_fps, intruder_rate_fps, tau_s, previous);
         argmax_masked(&q, previous, allowed, hysteresis_bonus)
     }
 
@@ -456,8 +424,9 @@ impl LogicTable {
         out
     }
 
-    /// Serializes the table as JSON to `writer` (the historical per-stage
-    /// format; see the struct-level layout note).
+    /// Serializes the table as JSON to `writer` in the historical per-stage
+    /// format, deriving every Q row from the factored storage (see the
+    /// struct-level layout note).
     ///
     /// # Errors
     ///
@@ -475,15 +444,21 @@ impl LogicTable {
     /// reader.
     ///
     /// The stage/grid/action shapes of the file are validated against its
-    /// embedded configuration: a file whose grid does not match the config,
-    /// whose stage count disagrees with the horizon, or whose Q-tables have
-    /// the wrong state/action arity is rejected here instead of panicking
-    /// on a later lookup.
+    /// embedded configuration first: a file whose grid does not match the
+    /// config, whose stage count disagrees with the horizon, or whose
+    /// Q-tables have the wrong state/action arity is rejected here instead
+    /// of panicking on a later lookup. A table is a pure function of its
+    /// configuration, so the table is then rebuilt with
+    /// [`solve`](Self::solve), and the file is accepted only if every
+    /// stored Q value equals the rebuilt one bit for bit (the JSON float
+    /// round trip is exact). This rejects any edited value or cost weight,
+    /// including Q rows that no factored table can hold.
     ///
     /// # Errors
     ///
     /// Returns I/O and deserialization errors as `io::Error`, and shape
-    /// inconsistencies as [`io::ErrorKind::InvalidData`].
+    /// inconsistencies or Q values that differ from the rebuilt table as
+    /// [`io::ErrorKind::InvalidData`].
     pub fn load<R: io::Read>(reader: R) -> io::Result<LogicTable> {
         let repr: LogicTableRepr = serde_json::from_reader(reader).map_err(io::Error::other)?;
         Self::from_parts(repr.config, repr.grid, repr.stage_q)
@@ -509,27 +484,34 @@ impl LogicTable {
     }
 }
 
-/// A 7-advisory Q row viewed as a fixed-size array so the accumulation
+/// A 7-advisory row viewed as a fixed-size array so the accumulation
 /// kernel unrolls at the type level.
 #[inline]
-fn row7(stage: &[f64], state: usize) -> &[f64; Advisory::COUNT] {
-    stage[state * Advisory::COUNT..][..Advisory::COUNT]
+fn row7(stage: &[f64], g: usize) -> &[f64; Advisory::COUNT] {
+    stage[g * Advisory::COUNT..][..Advisory::COUNT]
         .try_into()
         .expect("rows are exactly 7 advisories wide")
 }
 
-/// `acc += w * row`, explicitly unrolled over the 7 advisory lanes (the
+/// `acc += w * (r + e)`: rebuilds one corner's Q row from the reward row of
+/// the previous advisory and the corner's discounted expectation row, and
+/// accumulates it, explicitly unrolled over the 7 advisory lanes (the
 /// widest vectorizable form available without target-feature dispatch:
 /// 4+2+1 f64 lanes on AVX2, 2×3+1 on 128-bit SIMD).
 #[inline(always)]
-fn fma_row(acc: &mut [f64; Advisory::COUNT], row: &[f64; Advisory::COUNT], w: f64) {
-    acc[0] += w * row[0];
-    acc[1] += w * row[1];
-    acc[2] += w * row[2];
-    acc[3] += w * row[3];
-    acc[4] += w * row[4];
-    acc[5] += w * row[5];
-    acc[6] += w * row[6];
+fn fma_row(
+    acc: &mut [f64; Advisory::COUNT],
+    r: &[f64; Advisory::COUNT],
+    e: &[f64; Advisory::COUNT],
+    w: f64,
+) {
+    acc[0] += w * (r[0] + e[0]);
+    acc[1] += w * (r[1] + e[1]);
+    acc[2] += w * (r[2] + e[2]);
+    acc[3] += w * (r[3] + e[3]);
+    acc[4] += w * (r[4] + e[4]);
+    acc[5] += w * (r[5] + e[5]);
+    acc[6] += w * (r[6] + e[6]);
 }
 
 /// The masked, hysteresis-biased argmax behind every advisory selection, so
@@ -756,19 +738,63 @@ mod tests {
         let back = LogicTable::load(buf.as_slice()).unwrap();
         assert_eq!(back.num_stages(), t.num_stages());
         for (h, tau) in [(0.0, 5.0), (200.0, 9.0), (-450.0, 2.5)] {
-            let a = t.q_values(h, 0.0, 0.0, tau, Advisory::Coc);
-            let b = back.q_values(h, 0.0, 0.0, tau, Advisory::Coc);
-            for i in 0..Advisory::COUNT {
-                // JSON float round-trips are not guaranteed bit-exact.
-                assert!(
-                    (a[i] - b[i]).abs() < 1e-9,
-                    "action {i}: {} vs {}",
-                    a[i],
-                    b[i]
-                );
+            for prev in Advisory::ALL {
+                let a = t.q_values(h, 0.0, 0.0, tau, prev);
+                let b = back.q_values(h, 0.0, 0.0, tau, prev);
+                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "prev {prev}");
             }
         }
         assert!(t.q_bytes() > 0);
+    }
+
+    #[test]
+    fn stored_bytes_hold_one_row_per_stage_and_grid_point() {
+        for config in [AcasConfig::coarse(), AcasConfig::default()] {
+            let t = LogicTable::solve(&config);
+            let grid_points = config.build_grid().num_points();
+            assert_eq!(
+                t.q_bytes(),
+                config.num_stages() * grid_points * Advisory::COUNT * 8,
+                "{config:?}"
+            );
+        }
+    }
+
+    /// The saved form of the coarse table, parsed back into its parts.
+    fn saved_repr() -> LogicTableRepr {
+        let mut json = Vec::new();
+        coarse_table().save(&mut json).unwrap();
+        serde_json::from_reader(json.as_slice()).unwrap()
+    }
+
+    fn load_repr(repr: &LogicTableRepr) -> io::Result<LogicTable> {
+        LogicTable::load(serde_json::to_string(repr).unwrap().as_bytes())
+    }
+
+    #[test]
+    fn load_rejects_a_q_value_one_ulp_off() {
+        let mut repr = saved_repr();
+        assert!(load_repr(&repr).is_ok(), "pristine parts load");
+        // `r(previous, COC)` is 0 for every previous advisory, so no
+        // factored table can hold a COC value that differs between two
+        // previous advisories at the same grid point.
+        let gp = repr.grid.num_points();
+        let s = Advisory::Cl1500.index() * gp + gp / 2;
+        let stage = &mut repr.stage_q[3];
+        let coc = stage.get(s, Advisory::Coc.index());
+        stage.set(s, Advisory::Coc.index(), coc.next_up());
+        let err = load_repr(&repr).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("stage 4"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_a_cost_weight_edit_that_keeps_the_shapes() {
+        let mut repr = saved_repr();
+        repr.config.costs.reversal += 1.0;
+        let err = load_repr(&repr).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("solves to"), "{err}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn main() {
     println!("\n== ACAS XU-like logic: offline solve + one encounter ==");
     let table = Arc::new(LogicTable::solve(&AcasConfig::coarse()));
     println!(
-        "solved logic table: {} stages, {:.1} MiB of Q-values",
+        "solved logic table: {} stages, {:.1} MiB stored",
         table.num_stages(),
         table.q_bytes() as f64 / (1024.0 * 1024.0)
     );
