@@ -48,11 +48,9 @@ use crate::{EncounterRunner, Equipage, RunScratch};
 /// One simulation to run: scenario parameters, the seed that fully
 /// determines its noise and disturbances, and the equipage to fly.
 ///
-/// Jobs are plain serializable data — a job is its own complete
-/// description, so batches can cross process and machine boundaries
-/// (the `uavca-serve` wire protocol ships them as JSON) without losing
-/// the purity that batch determinism rests on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A job is its own complete description, so a batch's outcomes are a
+/// pure function of its jobs whatever worker runs each one.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimJob {
     /// The encounter to generate and fly.
     pub params: EncounterParams,
@@ -109,20 +107,6 @@ pub enum SimEngine {
     },
 }
 
-/// Anything that can fly a batch of single simulation jobs — the
-/// job-level counterpart of [`crate::PairSource`] for unpaired batches.
-///
-/// [`BatchRunner`] is the in-process implementation; remote backends
-/// (the `uavca-serve` sharded service) implement the same contract over
-/// a wire protocol. Implementations must be pure per job (outcome a
-/// function of `params`, `seed` and `equipage` only) and return
-/// outcomes in job order, so consumers stay deterministic whatever
-/// executes the batch.
-pub trait SimSource {
-    /// Runs every job, returning outcomes in job order.
-    fn run_sims(&self, jobs: &[SimJob]) -> Vec<EncounterOutcome>;
-}
-
 /// Executes batches of simulation jobs on a local execution backend
 /// (by default the shared [`Executor`] worker pool), with deterministic
 /// (thread-count-independent) results and per-worker allocation reuse.
@@ -130,8 +114,8 @@ pub trait SimSource {
 /// The backend is the *closure-level* seam ([`uavca_exec::Backend`]):
 /// any strategy that can fan a borrowed function over a job slice in
 /// the caller's address space. Cross-process execution plugs in one
-/// layer up instead, at the job-level [`SimSource`] /
-/// [`crate::PairSource`] contracts this runner also satisfies.
+/// layer up instead, at the job-level [`crate::PairSource`] /
+/// [`crate::SplitSource`] contracts this runner also satisfies.
 #[derive(Debug, Clone)]
 pub struct BatchRunner<B: Backend = Executor> {
     runner: EncounterRunner,
@@ -221,12 +205,6 @@ impl<B: Backend> BatchRunner<B> {
         let jobs =
             BatchRunner::repeated_jobs(params, self.runner.current_equipage(), runs, seed_base);
         self.run_batch(&jobs)
-    }
-}
-
-impl<B: Backend> SimSource for BatchRunner<B> {
-    fn run_sims(&self, jobs: &[SimJob]) -> Vec<EncounterOutcome> {
-        self.run_batch(jobs)
     }
 }
 

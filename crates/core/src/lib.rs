@@ -66,7 +66,7 @@ pub use campaign::{
     CampaignResumeError, CampaignStepper, PairSource, PairTable, PlannedRound, RatioEstimate,
     RoundSummary, StratifiedEstimate, StratumEstimate, StratumTally, WeightedRate,
 };
-pub use engine::{BatchRunner, PairedJob, PairedOutcome, SimEngine, SimJob, SimSource};
+pub use engine::{BatchRunner, PairedJob, PairedOutcome, SimEngine, SimJob};
 pub use fitness::{FitnessFunction, FitnessKind};
 pub use harness::{SearchConfig, SearchHarness, SearchOutcome};
 pub use montecarlo::{MonteCarloConfig, MonteCarloEstimate, MonteCarloEstimator, RateEstimate};

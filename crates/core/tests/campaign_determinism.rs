@@ -114,7 +114,9 @@ fn sharded_campaign_matches_in_process_byte_for_byte() {
 /// the in-process observer sees them.
 #[test]
 fn served_campaign_over_the_wire_matches_in_process() {
-    use uavca_serve::{spawn_in_process, CampaignRequest};
+    use uavca_serve::{
+        spawn_in_process, CampaignRequest, CampaignResult, CampaignSpec, RoundEvent,
+    };
 
     let planner = CampaignPlanner::new(runner(), config(1));
     let reference = planner.run().expect("valid config");
@@ -134,10 +136,19 @@ fn served_campaign_over_the_wire_matches_in_process() {
         planner.current_stratification(),
         "test premise: Stratification::new(3) is the default"
     );
-    let mut streamed = Vec::new();
-    let outcome = client
-        .run_campaign(&request, |round| streamed.push(round.clone()))
+    let id = client
+        .create_campaign(&CampaignSpec::Paired { request }, None)
         .expect("campaign accepted");
+    let mut streamed = Vec::new();
+    let result = client
+        .stream_campaign(id, |round| match round {
+            RoundEvent::Paired { summary } => streamed.push(summary.clone()),
+            RoundEvent::Splitting { .. } => panic!("a paired campaign streams paired rounds"),
+        })
+        .expect("campaign runs");
+    let CampaignResult::Paired { outcome } = result else {
+        panic!("a paired campaign yields a paired result, got {result:?}");
+    };
     assert_eq!(outcome, reference);
     assert_eq!(streamed, reference.rounds);
     assert_eq!(

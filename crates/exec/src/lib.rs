@@ -43,7 +43,7 @@ use std::sync::Mutex;
 /// within the caller's address space. Distribution across processes or
 /// machines cannot satisfy this contract (closures do not serialize) —
 /// that seam is *job-level* and lives one layer up, at
-/// `uavca_validation`'s `PairSource`/`SimSource` traits, where jobs and
+/// `uavca_validation`'s `PairSource`/`SplitSource` traits, where jobs and
 /// outcomes are plain serializable data.
 ///
 /// # Contract

@@ -1,30 +1,22 @@
-//! The campaign client: drives a [`CampaignServer`] over any transport,
-//! and satisfies the same job-level contracts as a local
-//! [`BatchRunner`](uavca_validation::BatchRunner) — a remote fleet
-//! behind [`PairSource`]/[`SimSource`], indistinguishable to consumers.
+//! The campaign client: drives a [`CampaignServer`]'s campaign
+//! lifecycle API over any transport.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use uavca_sim::EncounterOutcome;
-use uavca_validation::{
-    CampaignOutcome, EncounterRunner, PairSource, PairedJob, PairedOutcome, RoundSummary, SimJob,
-    SimSource, SplitJob, SplitOutcome, SplitSource,
-};
+use uavca_validation::EncounterRunner;
 
 use crate::control::{
     CampaignId, CampaignResult, CampaignSpec, CampaignStatus, Checkpoint, RoundEvent,
 };
-use crate::protocol::{CampaignRequest, Event, Request};
+use crate::protocol::{Event, Request};
 use crate::transport::{recv_msg, send_msg, TcpTransport, Transport};
 use crate::{channel_pair, CampaignServer, ServeError, SessionEnd, ShardedBackend};
 
 /// A connection to a [`CampaignServer`].
 ///
-/// Interior-mutable (the transport sits behind a mutex) so the client
-/// can serve the shared-reference [`PairSource`]/[`SimSource`]/
-/// [`SplitSource`] contracts; requests are serialized per connection
-/// either way.
+/// Interior-mutable (the transport sits behind a mutex) so every method
+/// takes `&self`; requests are serialized per connection either way.
 ///
 /// A session subscribed to campaign streams can receive stream events
 /// interleaved with request replies (the server pushes rounds as they
@@ -60,100 +52,6 @@ impl CampaignClient {
         Ok(Self::new(TcpTransport::connect(addr)?))
     }
 
-    /// Runs a batch of single simulation jobs on the service; outcomes
-    /// in job order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError`] on transport/protocol failure or a
-    /// server-side execution error.
-    pub fn run_batch(&self, jobs: &[SimJob]) -> Result<Vec<EncounterOutcome>, ServeError> {
-        // audit: allow(panic_policy, transport lock poisoning propagates a prior panic)
-        let mut transport = self.transport.lock().expect("client transport lock");
-        send_msg(
-            &mut **transport,
-            &Request::RunBatch {
-                jobs: jobs.to_vec(),
-            },
-        )?;
-        match Self::expect_event(&mut **transport)? {
-            Event::BatchDone { outcomes } => Ok(outcomes),
-            other => Err(Self::fail(other)),
-        }
-    }
-
-    /// Runs a batch of paired jobs on the service; outcomes in job
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError`] on transport/protocol failure or a
-    /// server-side execution error.
-    pub fn run_paired(&self, jobs: &[PairedJob]) -> Result<Vec<PairedOutcome>, ServeError> {
-        // audit: allow(panic_policy, transport lock poisoning propagates a prior panic)
-        let mut transport = self.transport.lock().expect("client transport lock");
-        send_msg(
-            &mut **transport,
-            &Request::RunPaired {
-                jobs: jobs.to_vec(),
-            },
-        )?;
-        match Self::expect_event(&mut **transport)? {
-            Event::PairedDone { outcomes } => Ok(outcomes),
-            other => Err(Self::fail(other)),
-        }
-    }
-
-    /// Runs a full campaign on the service, invoking `on_round` with
-    /// each [`RoundSummary`] as the server streams it, and returning the
-    /// final outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Rejected`] for degenerate configurations
-    /// (typed, same error the in-process planner returns) and
-    /// transport/protocol failures otherwise.
-    pub fn run_campaign(
-        &self,
-        request: &CampaignRequest,
-        mut on_round: impl FnMut(&RoundSummary),
-    ) -> Result<CampaignOutcome, ServeError> {
-        // audit: allow(panic_policy, transport lock poisoning propagates a prior panic)
-        let mut transport = self.transport.lock().expect("client transport lock");
-        send_msg(
-            &mut **transport,
-            &Request::RunCampaign { request: *request },
-        )?;
-        loop {
-            match Self::expect_event(&mut **transport)? {
-                Event::Round { summary } => on_round(&summary),
-                Event::CampaignDone { outcome } => return Ok(outcome),
-                Event::Rejected { error } => return Err(ServeError::Rejected(error)),
-                other if Self::is_stream_event(&other) => self.buffer(other),
-                other => return Err(Self::fail(other)),
-            }
-        }
-    }
-
-    /// Runs a batch of multilevel-splitting roots on the service;
-    /// outcomes in job order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError`] on transport/protocol failure or a
-    /// server-side execution error.
-    pub fn run_splits(&self, jobs: &[SplitJob]) -> Result<Vec<SplitOutcome>, ServeError> {
-        self.request_reply(
-            &Request::RunSplits {
-                jobs: jobs.to_vec(),
-            },
-            |event| match event {
-                Event::SplitsDone { outcomes } => Ok(outcomes),
-                other => Err(Box::new(other)),
-            },
-        )
-    }
-
     /// Creates a campaign on the server's control plane, optionally
     /// resuming from a checkpoint, and returns its id.
     ///
@@ -172,7 +70,7 @@ impl CampaignClient {
     ) -> Result<CampaignId, ServeError> {
         self.request_reply(
             &Request::Create {
-                spec: spec.clone(),
+                spec: Box::new(spec.clone()),
                 checkpoint: checkpoint.cloned(),
             },
             |event| match event {
@@ -353,38 +251,6 @@ impl CampaignClient {
             Event::Error { message } => ServeError::Server(message),
             other => ServeError::Unexpected(format!("{other:?}")),
         }
-    }
-}
-
-impl PairSource for CampaignClient {
-    /// # Panics
-    ///
-    /// The [`PairSource`] contract is infallible; this panics on
-    /// service failure. Use [`CampaignClient::run_paired`] to handle
-    /// failures as values.
-    fn run_pairs(&self, jobs: &[PairedJob]) -> Vec<PairedOutcome> {
-        // audit: allow(panic_policy, JobSource is infallible by contract; panic is documented)
-        self.run_paired(jobs).expect("campaign service failed")
-    }
-}
-
-impl SimSource for CampaignClient {
-    /// # Panics
-    ///
-    /// Panics on service failure; see [`CampaignClient::run_batch`].
-    fn run_sims(&self, jobs: &[SimJob]) -> Vec<EncounterOutcome> {
-        // audit: allow(panic_policy, JobSource is infallible by contract; panic is documented)
-        self.run_batch(jobs).expect("campaign service failed")
-    }
-}
-
-impl SplitSource for CampaignClient {
-    /// # Panics
-    ///
-    /// Panics on service failure; see [`CampaignClient::run_splits`].
-    fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome> {
-        // audit: allow(panic_policy, SplitSource is infallible by contract; panic is documented)
-        self.run_splits(jobs).expect("campaign service failed")
     }
 }
 

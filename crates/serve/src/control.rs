@@ -88,7 +88,8 @@ pub enum CampaignSpec {
     /// A paired stratified campaign (adaptive Neyman reallocation, or
     /// uniform when `request.uniform` is set).
     Paired {
-        /// The campaign request, as in the legacy `RunCampaign` path.
+        /// The campaign request: model, stratification, schedule and
+        /// allocation mode.
         request: CampaignRequest,
     },
     /// A multilevel-splitting rare-event campaign.
@@ -488,8 +489,7 @@ impl ControlPlane {
 
     /// Creates a campaign from `spec`, optionally resuming from a
     /// checkpoint. `supervised` campaigns are restarted from their
-    /// checkpoint on backend faults; unsupervised ones fail fast
-    /// (the legacy `RunCampaign` semantics).
+    /// checkpoint on backend faults; unsupervised ones fail fast.
     pub fn create(
         &mut self,
         spec: CampaignSpec,

@@ -4,8 +4,8 @@
 //! The validation argument of the source paper rests on Monte-Carlo
 //! campaigns large enough to bound rare NMAC rates; one process is not
 //! where such campaigns end. This crate turns the in-process seams the
-//! workspace already has — [`PairSource`]/[`SimSource`] job batches and
-//! the [`CampaignPlanner`] round loop — into a service:
+//! workspace already has — [`PairSource`]/[`SplitSource`] job batches
+//! and the [`CampaignPlanner`] round loop — into a service:
 //!
 //! * **Wire protocol** ([`protocol`]): line-delimited JSON messages, one
 //!   message per line. Jobs, outcomes, round summaries and campaign
@@ -18,15 +18,12 @@
 //! * **Shard workers** ([`shard`]): each shard hosts a
 //!   [`BatchRunner`](uavca_validation::BatchRunner) and serves indexed
 //!   job batches; the coordinator-side [`ShardedBackend`] satisfies the
-//!   same [`PairSource`]/[`SimSource`] contracts as `BatchRunner`, so a
-//!   [`CampaignPlanner`] drives a shard fleet exactly as it drives a
+//!   same [`PairSource`]/[`SplitSource`] contracts as `BatchRunner`, so
+//!   a [`CampaignPlanner`] drives a shard fleet exactly as it drives a
 //!   local worker pool.
 //! * **Service** ([`server`], [`client`]): a [`CampaignServer`] whose
 //!   readiness loop multiplexes many client sessions over one shared
-//!   shard fleet — the legacy one-shot dialect
-//!   ([`SimJob`](uavca_validation::SimJob)/
-//!   [`PairedJob`](uavca_validation::PairedJob) batches,
-//!   streamed `RunCampaign`) answered inline, unchanged.
+//!   shard fleet, and the [`CampaignClient`] that drives it.
 //! * **Control plane** ([`control`]): the campaign lifecycle API —
 //!   [`Create`](protocol::Request::Create) (optionally from a
 //!   [`Checkpoint`]) / `Status` / `Stream` / `Pause` / `Resume` /
@@ -62,7 +59,7 @@
 //! (shard × thread matrix) and this crate's fault-injection tests.
 //!
 //! [`PairSource`]: uavca_validation::PairSource
-//! [`SimSource`]: uavca_validation::SimSource
+//! [`SplitSource`]: uavca_validation::SplitSource
 //! [`CampaignPlanner`]: uavca_validation::CampaignPlanner
 //! [`StratifiedEstimate`]: uavca_validation::StratifiedEstimate
 
@@ -84,8 +81,7 @@ pub use control::{
 };
 pub use protocol::{
     decode, encode, read_frame, write_frame, CampaignRequest, Event, IndexedMultiJob,
-    IndexedPairedJob, IndexedSimJob, IndexedSplitJob, Request, ShardEvent, ShardRequest,
-    SplitCampaignRequest,
+    IndexedPairedJob, IndexedSplitJob, Request, ShardEvent, ShardRequest, SplitCampaignRequest,
 };
 pub use server::{CampaignServer, SessionEnd};
 pub use shard::{serve_shard, serve_shard_tcp, ShardFault, ShardedBackend};
@@ -94,10 +90,8 @@ pub use transport::{
     TransportError,
 };
 
-use uavca_validation::CampaignConfigError;
-
 /// Any failure of the service stack: transport breakdowns, undecodable
-/// messages, server-side rejections, or a shard fleet that lost every
+/// messages, server-side errors, or a shard fleet that lost every
 /// member with work outstanding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -107,13 +101,11 @@ pub enum ServeError {
     Protocol(String),
     /// The peer closed the connection while a reply was still expected.
     ConnectionClosed,
-    /// The server rejected a campaign configuration (typed, so clients
-    /// can distinguish config bugs from infrastructure failures).
-    Rejected(CampaignConfigError),
-    /// The server reported an execution error.
+    /// The server reported an error: a rejected campaign spec or
+    /// checkpoint, an unknown campaign, or an execution failure.
     Server(String),
     /// A syntactically valid message arrived that is wrong for the
-    /// current protocol state (e.g. a batch reply to a campaign request).
+    /// current protocol state (e.g. a status reply to a create request).
     Unexpected(String),
     /// Every shard was lost while `outstanding` jobs still had no
     /// result; the batch cannot complete.
@@ -137,7 +129,6 @@ impl std::fmt::Display for ServeError {
             ServeError::ConnectionClosed => {
                 write!(f, "connection closed while a reply was still expected")
             }
-            ServeError::Rejected(e) => write!(f, "campaign rejected: {e}"),
             ServeError::Server(msg) => write!(f, "server error: {msg}"),
             ServeError::Unexpected(msg) => write!(f, "unexpected message: {msg}"),
             ServeError::AllShardsLost { outstanding } => write!(

@@ -16,23 +16,23 @@
 //!
 //! # Message families
 //!
-//! * [`Request`]/[`Event`] — client ↔ server: submit job batches or a
-//!   full campaign; receive outcomes, streamed per-round summaries, and
-//!   typed rejections.
+//! * [`Request`]/[`Event`] — client ↔ server: the campaign lifecycle
+//!   (`Create`, `Status`, `Stream`, `Pause`, `Resume`, `Cancel`),
+//!   answered by tagged per-campaign events and streamed rounds.
 //! * [`ShardRequest`]/[`ShardEvent`] — coordinator ↔ shard worker:
-//!   indexed job batches tagged with a `batch` id, answered by one event
-//!   per job. The `batch` tag is what lets the coordinator reject stale
-//!   or duplicated deliveries with a typed fault instead of corrupting a
-//!   later round's merge.
+//!   indexed job batches tagged with a `batch` id, answered by chunk
+//!   events that each carry the outcomes of one executed sub-batch. The
+//!   `batch` tag is what lets the coordinator reject stale or duplicated
+//!   deliveries with a typed fault instead of corrupting a later round's
+//!   merge.
 
 use std::io::{BufRead, Write};
 
 use serde::{Deserialize, Serialize};
 use uavca_encounter::StatisticalEncounterModel;
-use uavca_sim::EncounterOutcome;
 use uavca_validation::{
-    CampaignConfig, CampaignConfigError, CampaignOutcome, MultiJob, MultiPairedOutcome, PairedJob,
-    PairedOutcome, RoundSummary, SimJob, SplitConfig, SplitJob, SplitOutcome,
+    CampaignConfig, MultiJob, MultiPairedOutcome, PairedJob, PairedOutcome, SplitConfig, SplitJob,
+    SplitOutcome,
 };
 
 use crate::control::{
@@ -76,33 +76,11 @@ pub struct SplitCampaignRequest {
 /// A client-to-server request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Run a batch of single simulation jobs.
-    RunBatch {
-        /// The jobs, each carrying its own seed and equipage.
-        jobs: Vec<SimJob>,
-    },
-    /// Run a batch of paired (equipped + unequipped) jobs.
-    RunPaired {
-        /// The paired jobs, each replaying one seed in both arms.
-        jobs: Vec<PairedJob>,
-    },
-    /// Run a batch of multilevel-splitting roots.
-    RunSplits {
-        /// The jobs, each a self-contained branch-tree description.
-        jobs: Vec<SplitJob>,
-    },
-    /// Plan and run a full campaign, streaming per-round events. The
-    /// legacy single-campaign path: equivalent to `Create` + `Stream`
-    /// with no supervisor restarts.
-    RunCampaign {
-        /// The campaign specification.
-        request: CampaignRequest,
-    },
     /// Create a campaign on the control plane, optionally resuming it
     /// from a checkpoint. Replied to with [`Event::CampaignCreated`].
     Create {
-        /// What to run.
-        spec: CampaignSpec,
+        /// What to run (boxed: the spec dwarfs every other request).
+        spec: Box<CampaignSpec>,
         /// Exact resume point from a prior [`Event::CampaignCancelled`]
         /// or [`CampaignStatus::checkpoint`]; `None` starts fresh.
         checkpoint: Option<Checkpoint>,
@@ -141,37 +119,6 @@ pub enum Request {
 /// A server-to-client event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
-    /// Reply to [`Request::RunBatch`]: outcomes in job order.
-    BatchDone {
-        /// One outcome per submitted job, in submission order.
-        outcomes: Vec<EncounterOutcome>,
-    },
-    /// Reply to [`Request::RunPaired`]: outcomes in job order.
-    PairedDone {
-        /// One paired outcome per submitted job, in submission order.
-        outcomes: Vec<PairedOutcome>,
-    },
-    /// A campaign round completed (streamed as it happens).
-    Round {
-        /// The round's convergence snapshot.
-        summary: RoundSummary,
-    },
-    /// The campaign finished; the terminal event of a
-    /// [`Request::RunCampaign`] exchange.
-    CampaignDone {
-        /// The full outcome, estimate and convergence trail included.
-        outcome: CampaignOutcome,
-    },
-    /// The campaign configuration was rejected before any simulation.
-    Rejected {
-        /// The typed validation error.
-        error: CampaignConfigError,
-    },
-    /// Reply to [`Request::RunSplits`]: outcomes in job order.
-    SplitsDone {
-        /// One outcome per submitted root, in submission order.
-        outcomes: Vec<SplitOutcome>,
-    },
     /// Reply to [`Request::Create`]: the campaign is registered.
     CampaignCreated {
         /// The new campaign's id, unique within this server.
@@ -242,15 +189,6 @@ pub struct IndexedPairedJob {
     pub job: PairedJob,
 }
 
-/// A [`SimJob`] tagged with its index in the submitted batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IndexedSimJob {
-    /// Position of this job in the coordinator's batch.
-    pub index: usize,
-    /// The job itself.
-    pub job: SimJob,
-}
-
 /// A [`SplitJob`] tagged with its index in the submitted batch. Not
 /// `Copy` (the job carries its severity ladder and branch schedule), but
 /// cheap to clone relative to simulating a branch tree.
@@ -276,21 +214,13 @@ pub struct IndexedMultiJob {
 /// A coordinator-to-shard request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ShardRequest {
-    /// Run the indexed paired jobs, answering one
-    /// [`ShardEvent::Paired`] per job.
+    /// Run the indexed paired jobs, answering
+    /// [`ShardEvent::PairedChunk`] events.
     RunPaired {
         /// The coordinator's batch id; echoed in every reply.
         batch: u64,
         /// The shard's slice of the batch.
         jobs: Vec<IndexedPairedJob>,
-    },
-    /// Run the indexed single jobs, answering one [`ShardEvent::Sim`]
-    /// per job.
-    RunSims {
-        /// The coordinator's batch id; echoed in every reply.
-        batch: u64,
-        /// The shard's slice of the batch.
-        jobs: Vec<IndexedSimJob>,
     },
     /// Run the indexed multilevel-splitting jobs, answering
     /// [`ShardEvent::SplitChunk`] events. Each job is a pure function of
@@ -319,36 +249,14 @@ pub enum ShardRequest {
 /// A shard-to-coordinator event: one or more completed jobs.
 ///
 /// Shards flush results per execution sub-batch as a single *chunk*
-/// event ([`PairedChunk`](ShardEvent::PairedChunk) /
-/// [`SimChunk`](ShardEvent::SimChunk)): one framed line per chunk
-/// instead of one per job, which divides the per-result
-/// framing/serialization overhead by the chunk size. `indices` and
-/// `outcomes` are parallel vectors (round-robin partitioning means a
-/// shard's indices are not contiguous); a length mismatch is rejected by
-/// the coordinator as a malformed event. The single-job
-/// [`Paired`](ShardEvent::Paired) / [`Sim`](ShardEvent::Sim) forms
-/// remain valid deliveries — the merge layer accepts either — so old
-/// shards and per-job test rigs interoperate with chunking coordinators.
+/// event, one per job family: one framed line per chunk instead of one
+/// per job, which divides the per-result framing/serialization overhead
+/// by the chunk size. `indices` and `outcomes` are parallel vectors
+/// (round-robin partitioning means a shard's indices are not
+/// contiguous); a length mismatch is rejected by the coordinator as a
+/// malformed event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ShardEvent {
-    /// A paired job finished.
-    Paired {
-        /// The batch id of the request this answers.
-        batch: u64,
-        /// The job's index in the coordinator's batch.
-        index: usize,
-        /// Both arms' outcomes.
-        outcome: PairedOutcome,
-    },
-    /// A single simulation job finished.
-    Sim {
-        /// The batch id of the request this answers.
-        batch: u64,
-        /// The job's index in the coordinator's batch.
-        index: usize,
-        /// The run's outcome.
-        outcome: EncounterOutcome,
-    },
     /// A sub-batch of paired jobs finished (the per-chunk flush).
     PairedChunk {
         /// The batch id of the request this answers.
@@ -358,16 +266,6 @@ pub enum ShardEvent {
         indices: Vec<usize>,
         /// Both arms' outcomes, parallel to `indices`.
         outcomes: Vec<PairedOutcome>,
-    },
-    /// A sub-batch of single simulation jobs finished.
-    SimChunk {
-        /// The batch id of the request this answers.
-        batch: u64,
-        /// The jobs' indices in the coordinator's batch, parallel to
-        /// `outcomes`.
-        indices: Vec<usize>,
-        /// The runs' outcomes, parallel to `indices`.
-        outcomes: Vec<EncounterOutcome>,
     },
     /// A sub-batch of multilevel-splitting jobs finished.
     SplitChunk {
@@ -476,5 +374,11 @@ mod tests {
         let line = encode(&Event::ShutdownAck);
         let err = decode::<ShardEvent>(&line).unwrap_err();
         assert!(matches!(err, ServeError::Protocol(_)), "{err}");
+        // Request lines of the retired one-shot dialect no longer decode.
+        for family in ["Batch", "Paired", "Splits", "Campaign"] {
+            let line = format!(r#"{{"Run{family}":{{"jobs":[]}}}}"#);
+            let err = decode::<Request>(&line).unwrap_err();
+            assert!(matches!(err, ServeError::Protocol(_)), "{line}: {err}");
+        }
     }
 }

@@ -13,12 +13,11 @@
 //! One slow or silent client can no longer monopolize the fleet: its
 //! session just stays quiet while other campaigns' quanta keep flowing.
 //!
-//! Sessions speak either the legacy single-campaign protocol
-//! ([`Request::RunCampaign`] — created unsupervised on the control
-//! plane, rounds streamed untagged, abandoned work cancelled when the
-//! client vanishes) or the lifecycle API ([`Request::Create`] /
-//! `Status` / `Stream` / `Pause` / `Resume` / `Cancel`) with tagged
-//! per-campaign events. Session-level incidents that the old blocking
+//! Sessions speak the lifecycle API ([`Request::Create`] / `Status` /
+//! `Stream` / `Pause` / `Resume` / `Cancel`) with tagged per-campaign
+//! events. Campaigns are server-owned: one session can create a
+//! campaign and another stream it, and a session that goes away leaves
+//! its campaigns running. Session-level incidents that the old blocking
 //! server silently swallowed — handshake failures, transport errors,
 //! undecodable requests — are recorded in the server's [`EventLog`].
 //!
@@ -34,8 +33,7 @@ use std::time::Duration;
 use uavca_validation::EncounterRunner;
 
 use crate::control::{
-    CampaignId, CampaignNotice, CampaignResult, CampaignSpec, CampaignState, ControlEvent,
-    ControlPlane, EventLog, RoundEvent,
+    CampaignId, CampaignNotice, CampaignState, ControlEvent, ControlPlane, EventLog,
 };
 use crate::protocol::{decode, Event, Request};
 use crate::transport::{send_msg, RecvOutcome, TcpTransport, Transport};
@@ -63,14 +61,10 @@ pub enum SessionEnd {
     ShutdownRequested,
 }
 
-/// One client connection: its transport plus which campaigns it is
-/// attached to, in either protocol dialect.
+/// One client connection: its transport plus the campaigns it streams.
 struct Session<'a> {
     sid: u64,
     transport: Box<dyn Transport + 'a>,
-    /// Campaigns whose rounds stream *untagged* (legacy
-    /// [`Request::RunCampaign`]); cancelled if the session dies.
-    legacy: Vec<CampaignId>,
     /// Campaigns streamed with tagged lifecycle events.
     subs: Vec<CampaignId>,
     /// Set once the session is over; reaped by the loop.
@@ -82,7 +76,6 @@ impl<'a> Session<'a> {
         Session {
             sid,
             transport,
-            legacy: Vec::new(),
             subs: Vec::new(),
             end: None,
         }
@@ -116,8 +109,8 @@ impl CampaignServer {
         }
     }
 
-    /// Overrides the supervisor restart budget for campaigns created
-    /// through the lifecycle API (default 3).
+    /// Overrides the supervisor restart budget for campaigns (default
+    /// 3).
     pub fn with_max_restarts(mut self, max_restarts: usize) -> Self {
         self.max_restarts = max_restarts;
         self
@@ -147,7 +140,8 @@ impl CampaignServer {
     /// Returns [`ServeError`] on transport failure or undecodable
     /// requests. Campaign-config rejections and execution failures are
     /// *not* errors of the session: they are reported to the client as
-    /// [`Event::Rejected`] / [`Event::Error`] and the session continues.
+    /// [`Event::Error`] / [`Event::CampaignFailed`] and the session
+    /// continues.
     pub fn serve(&self, transport: &mut dyn Transport) -> Result<SessionEnd, ServeError> {
         let session = Session::new(0, Box::new(transport) as Box<dyn Transport + '_>);
         let mut ends = self.run_loop(vec![session], None)?;
@@ -229,10 +223,8 @@ impl CampaignServer {
                     Ok(RecvOutcome::Line(line)) => {
                         shutdown |= self.handle_line(&mut plane, &mut sessions, i, &line);
                     }
-                    Ok(RecvOutcome::Closed) => self.close_session(&mut plane, &mut sessions[i]),
-                    Err(e) => {
-                        self.fail_session(&mut plane, &mut sessions[i], ServeError::Transport(e));
-                    }
+                    Ok(RecvOutcome::Closed) => self.close_session(&mut sessions[i]),
+                    Err(e) => self.fail_session(&mut sessions[i], ServeError::Transport(e)),
                 }
                 if shutdown {
                     break;
@@ -244,7 +236,7 @@ impl CampaignServer {
                         break;
                     }
                     let notices = plane.tick();
-                    self.fan_out(&mut plane, &mut sessions, &notices);
+                    self.fan_out(&mut sessions, &notices);
                 }
             }
             // Reap ended sessions (their results, in end order).
@@ -320,59 +312,17 @@ impl CampaignServer {
                 // An undecodable request is a protocol breach: surface
                 // it in the log and end the session with the typed
                 // error, exactly as the blocking server did.
-                self.fail_session(plane, &mut sessions[i], e);
+                self.fail_session(&mut sessions[i], e);
                 return false;
             }
         };
         match request {
-            Request::RunBatch { jobs } => {
-                let event = match self.backend.try_run_sims(&jobs) {
-                    Ok(outcomes) => Event::BatchDone { outcomes },
-                    Err(e) => Event::Error {
-                        message: e.to_string(),
-                    },
-                };
-                self.send_or_fail(plane, &mut sessions[i], &event);
-            }
-            Request::RunPaired { jobs } => {
-                let event = match self.backend.try_run_pairs(&jobs) {
-                    Ok(outcomes) => Event::PairedDone { outcomes },
-                    Err(e) => Event::Error {
-                        message: e.to_string(),
-                    },
-                };
-                self.send_or_fail(plane, &mut sessions[i], &event);
-            }
-            Request::RunSplits { jobs } => {
-                let event = match self.backend.try_run_splits(&jobs) {
-                    Ok(outcomes) => Event::SplitsDone { outcomes },
-                    Err(e) => Event::Error {
-                        message: e.to_string(),
-                    },
-                };
-                self.send_or_fail(plane, &mut sessions[i], &event);
-            }
-            Request::RunCampaign { request } => {
-                // The legacy dialect: validate for the typed rejection,
-                // then run unsupervised — a dead fleet fails fast with
-                // the fault detail instead of burning restart budget.
-                if let Err(error) = request.config.validate() {
-                    self.send_or_fail(plane, &mut sessions[i], &Event::Rejected { error });
-                    return false;
-                }
-                match plane.create(CampaignSpec::Paired { request }, None, false) {
-                    Ok(id) => sessions[i].legacy.push(id),
-                    Err(message) => {
-                        self.send_or_fail(plane, &mut sessions[i], &Event::Error { message });
-                    }
-                }
-            }
             Request::Create { spec, checkpoint } => {
-                let event = match plane.create(spec, checkpoint.as_ref(), true) {
+                let event = match plane.create(*spec, checkpoint.as_ref(), true) {
                     Ok(id) => Event::CampaignCreated { id },
                     Err(message) => Event::Error { message },
                 };
-                self.send_or_fail(plane, &mut sessions[i], &event);
+                self.send_or_fail(&mut sessions[i], &event);
             }
             Request::Status { id } => {
                 let event = match plane.status(id) {
@@ -381,7 +331,7 @@ impl CampaignServer {
                         message: format!("unknown {id}"),
                     },
                 };
-                self.send_or_fail(plane, &mut sessions[i], &event);
+                self.send_or_fail(&mut sessions[i], &event);
             }
             Request::Stream { id } => self.handle_stream(plane, &mut sessions[i], id),
             Request::Pause { id } => {
@@ -389,20 +339,20 @@ impl CampaignServer {
                     Ok(()) => Event::CampaignPaused { id },
                     Err(message) => Event::Error { message },
                 };
-                self.send_or_fail(plane, &mut sessions[i], &event);
+                self.send_or_fail(&mut sessions[i], &event);
             }
             Request::Resume { id } => {
                 let event = match plane.resume(id) {
                     Ok(()) => Event::CampaignResumed { id },
                     Err(message) => Event::Error { message },
                 };
-                self.send_or_fail(plane, &mut sessions[i], &event);
+                self.send_or_fail(&mut sessions[i], &event);
             }
             Request::Cancel { id } => {
                 match plane.cancel(id) {
                     Ok(checkpoint) => {
                         let event = Event::CampaignCancelled { id, checkpoint };
-                        self.send_or_fail(plane, &mut sessions[i], &event);
+                        self.send_or_fail(&mut sessions[i], &event);
                         // Every *other* session attached to the campaign
                         // learns its stream is over.
                         for (j, session) in sessions.iter_mut().enumerate() {
@@ -411,25 +361,17 @@ impl CampaignServer {
                             }
                             if let Some(at) = session.subs.iter().position(|s| *s == id) {
                                 session.subs.remove(at);
-                                let event = event.clone();
-                                self.send_or_fail(plane, session, &event);
-                            }
-                            if let Some(at) = session.legacy.iter().position(|s| *s == id) {
-                                session.legacy.remove(at);
-                                let event = Event::Error {
-                                    message: format!("campaign aborted: {id} cancelled"),
-                                };
-                                self.send_or_fail(plane, session, &event);
+                                self.send_or_fail(session, &event);
                             }
                         }
                     }
                     Err(message) => {
-                        self.send_or_fail(plane, &mut sessions[i], &Event::Error { message });
+                        self.send_or_fail(&mut sessions[i], &Event::Error { message });
                     }
                 }
             }
             Request::Shutdown => {
-                self.send_or_fail(plane, &mut sessions[i], &Event::ShutdownAck);
+                self.send_or_fail(&mut sessions[i], &Event::ShutdownAck);
                 if sessions[i].end.is_none() {
                     sessions[i].end = Some(Ok(SessionEnd::ShutdownRequested));
                 }
@@ -442,16 +384,16 @@ impl CampaignServer {
     /// Subscribes a session to a campaign's rounds: replay everything
     /// completed so far, then either close with the terminal event or
     /// keep streaming.
-    fn handle_stream(&self, plane: &mut ControlPlane, session: &mut Session<'_>, id: CampaignId) {
+    fn handle_stream(&self, plane: &ControlPlane, session: &mut Session<'_>, id: CampaignId) {
         let Some(status) = plane.status(id) else {
             let event = Event::Error {
                 message: format!("unknown {id}"),
             };
-            self.send_or_fail(plane, session, &event);
+            self.send_or_fail(session, &event);
             return;
         };
         for round in plane.rounds(id).unwrap_or_default() {
-            self.send_or_fail(plane, session, &Event::CampaignRound { id, round });
+            self.send_or_fail(session, &Event::CampaignRound { id, round });
             if session.end.is_some() {
                 return;
             }
@@ -463,20 +405,20 @@ impl CampaignServer {
                     // audit: allow(panic_policy, the Finished state implies a stored result)
                     .expect("a finished campaign has a result")
                     .clone();
-                self.send_or_fail(plane, session, &Event::CampaignFinished { id, result });
+                self.send_or_fail(session, &Event::CampaignFinished { id, result });
             }
             CampaignState::Cancelled => {
                 let event = Event::CampaignCancelled {
                     id,
                     checkpoint: status.checkpoint,
                 };
-                self.send_or_fail(plane, session, &event);
+                self.send_or_fail(session, &event);
             }
             CampaignState::Failed if !plane.restart_pending(id) => {
                 let message = status
                     .last_error
                     .unwrap_or_else(|| String::from("campaign failed"));
-                self.send_or_fail(plane, session, &Event::CampaignFailed { id, message });
+                self.send_or_fail(session, &Event::CampaignFailed { id, message });
             }
             // Running, paused, or failed-pending-restart: stream on.
             _ => {
@@ -487,115 +429,63 @@ impl CampaignServer {
         }
     }
 
-    /// Delivers control-plane notices to the sessions attached to each
-    /// campaign, in both protocol dialects.
-    fn fan_out(
-        &self,
-        plane: &mut ControlPlane,
-        sessions: &mut [Session<'_>],
-        notices: &[CampaignNotice],
-    ) {
+    /// Delivers control-plane notices to the sessions streaming each
+    /// campaign.
+    fn fan_out(&self, sessions: &mut [Session<'_>], notices: &[CampaignNotice]) {
         for notice in notices {
-            for session in sessions.iter_mut() {
-                if session.end.is_some() {
-                    continue;
-                }
-                match notice {
-                    CampaignNotice::Round { id, round } => {
-                        if session.subs.contains(id) {
-                            let event = Event::CampaignRound {
-                                id: *id,
-                                round: round.clone(),
-                            };
-                            self.send_or_fail(plane, session, &event);
-                        }
-                        if session.legacy.contains(id) {
-                            if let RoundEvent::Paired { summary } = round {
-                                let event = Event::Round {
-                                    summary: summary.clone(),
-                                };
-                                self.send_or_fail(plane, session, &event);
-                            }
-                        }
-                    }
-                    CampaignNotice::Finished { id, result } => {
-                        if session.subs.contains(id) {
-                            let event = Event::CampaignFinished {
-                                id: *id,
-                                result: result.clone(),
-                            };
-                            self.send_or_fail(plane, session, &event);
-                        }
-                        if let Some(at) = session.legacy.iter().position(|s| s == id) {
-                            session.legacy.remove(at);
-                            if let CampaignResult::Paired { outcome } = result {
-                                let event = Event::CampaignDone {
-                                    outcome: outcome.clone(),
-                                };
-                                self.send_or_fail(plane, session, &event);
-                            }
-                        }
-                    }
-                    CampaignNotice::Failed { id, error } => {
-                        if session.subs.contains(id) {
-                            let event = Event::CampaignFailed {
-                                id: *id,
-                                message: error.clone(),
-                            };
-                            self.send_or_fail(plane, session, &event);
-                        }
-                        if let Some(at) = session.legacy.iter().position(|s| s == id) {
-                            session.legacy.remove(at);
-                            // Satellite fix: the typed backend fault
-                            // (e.g. `AllShardsLost`) rides into the
-                            // event verbatim — no panic-payload
-                            // downcast to lose it through.
-                            let event = Event::Error {
-                                message: format!("campaign aborted: {error}"),
-                            };
-                            self.send_or_fail(plane, session, &event);
-                        }
-                    }
-                    CampaignNotice::Restarted { .. } => {}
-                }
+            let (id, event) = match notice {
+                CampaignNotice::Round { id, round } => (
+                    id,
+                    Event::CampaignRound {
+                        id: *id,
+                        round: round.clone(),
+                    },
+                ),
+                CampaignNotice::Finished { id, result } => (
+                    id,
+                    Event::CampaignFinished {
+                        id: *id,
+                        result: result.clone(),
+                    },
+                ),
+                CampaignNotice::Failed { id, error } => (
+                    id,
+                    Event::CampaignFailed {
+                        id: *id,
+                        message: error.clone(),
+                    },
+                ),
+                CampaignNotice::Restarted { .. } => continue,
+            };
+            for session in sessions.iter_mut().filter(|s| s.subs.contains(id)) {
+                self.send_or_fail(session, &event);
             }
         }
     }
 
     /// Sends `event`, failing the session on transport error.
-    fn send_or_fail(&self, plane: &mut ControlPlane, session: &mut Session<'_>, event: &Event) {
+    fn send_or_fail(&self, session: &mut Session<'_>, event: &Event) {
         if session.end.is_some() {
             return;
         }
         if let Err(e) = send_msg(session.transport.as_mut(), event) {
-            self.fail_session(plane, session, ServeError::Transport(e));
+            self.fail_session(session, ServeError::Transport(e));
         }
     }
 
-    /// The client went away cleanly. A clean close with campaigns still
-    /// attached is *not* clean — their results can no longer be
-    /// delivered, so the legacy ones are cancelled (stop burning fleet
-    /// budget) and the session ends with the transport error, matching
-    /// the blocking server's abort semantics.
-    fn close_session(&self, plane: &mut ControlPlane, session: &mut Session<'_>) {
-        if session.legacy.is_empty() {
-            self.log.record(ControlEvent::SessionClosed {
-                session: session.sid,
-            });
-            session.end = Some(Ok(SessionEnd::ClientClosed));
-        } else {
-            self.fail_session(
-                plane,
-                session,
-                ServeError::Transport(TransportError::Closed),
-            );
-        }
+    /// The client went away cleanly; the campaigns it created or
+    /// streamed keep running, server-owned.
+    fn close_session(&self, session: &mut Session<'_>) {
+        self.log.record(ControlEvent::SessionClosed {
+            session: session.sid,
+        });
+        session.end = Some(Ok(SessionEnd::ClientClosed));
     }
 
-    /// Ends a session with `error`: recorded in the event log, its
-    /// legacy campaigns cancelled. Lifecycle campaigns keep running —
-    /// they are server-owned and another session may stream them.
-    fn fail_session(&self, plane: &mut ControlPlane, session: &mut Session<'_>, error: ServeError) {
+    /// Ends a session with `error`, recorded in the event log. Its
+    /// campaigns keep running — they are server-owned and another
+    /// session may stream them.
+    fn fail_session(&self, session: &mut Session<'_>, error: ServeError) {
         if session.end.is_some() {
             return;
         }
@@ -603,10 +493,6 @@ impl CampaignServer {
             session: session.sid,
             error: error.to_string(),
         });
-        for id in std::mem::take(&mut session.legacy) {
-            // Already-terminal campaigns are fine to leave as they are.
-            let _ = plane.cancel(id);
-        }
         session.end = Some(Err(error));
     }
 }

@@ -3,32 +3,31 @@
 //! A shard is a worker loop ([`serve_shard`]) hosting a
 //! [`BatchRunner`]: it receives indexed job batches, runs them on its
 //! local executor in sub-batches, and streams one chunked [`ShardEvent`]
-//! back per sub-batch (per-job events remain accepted deliveries). The
-//! coordinator ([`ShardedBackend`]) partitions every batch across its
-//! shards, merges results **by job index**, requeues the unfinished jobs
-//! of a lost shard onto the survivors, and rejects duplicate or stale
-//! deliveries with a typed [`ShardFault`] — all without any effect on
-//! the merged results, which are pure functions of the jobs.
+//! back per sub-batch. The coordinator ([`ShardedBackend`]) partitions
+//! every batch across its shards, merges results **by job index**,
+//! requeues the unfinished jobs of a lost shard onto the survivors, and
+//! rejects duplicate or stale deliveries with a typed [`ShardFault`] —
+//! all without any effect on the merged results, which are pure
+//! functions of the jobs.
 //!
 //! `ShardedBackend` satisfies the same job-level contracts as
-//! `BatchRunner` — [`PairSource`] and [`SimSource`] — so a
-//! `CampaignPlanner` (or any other batch consumer) cannot tell a shard
-//! fleet from a local worker pool except by wall clock. The closure-level
-//! [`uavca_exec::Backend`] seam is deliberately *not* implemented here:
-//! closures do not serialize, so distribution happens at the job level,
-//! where jobs and outcomes are plain data.
+//! `BatchRunner` — [`PairSource`], [`SplitSource`] and [`MultiSource`] —
+//! so a `CampaignPlanner` (or any other batch consumer) cannot tell a
+//! shard fleet from a local worker pool except by wall clock. The
+//! closure-level [`uavca_exec::Backend`] seam is deliberately *not*
+//! implemented here: closures do not serialize, so distribution happens
+//! at the job level, where jobs and outcomes are plain data.
 
 use std::sync::Mutex;
 
 use uavca_exec::{Backend, Executor};
-use uavca_sim::EncounterOutcome;
 use uavca_validation::{
     BatchRunner, EncounterRunner, MultiJob, MultiPairedOutcome, MultiSource, PairSource, PairedJob,
-    PairedOutcome, ShardUsage, SimJob, SimSource, SplitJob, SplitOutcome, SplitSource,
+    PairedOutcome, ShardUsage, SplitJob, SplitOutcome, SplitSource,
 };
 
 use crate::protocol::{
-    IndexedMultiJob, IndexedPairedJob, IndexedSimJob, IndexedSplitJob, ShardEvent, ShardRequest,
+    IndexedMultiJob, IndexedPairedJob, IndexedSplitJob, ShardEvent, ShardRequest,
 };
 use crate::transport::{recv_msg, send_msg, RecvOutcome, TcpTransport, Transport};
 use crate::{channel_pair, ServeError};
@@ -197,20 +196,6 @@ pub fn serve_shard<B: Backend, T: Transport>(
                     )?;
                 }
             }
-            ShardRequest::RunSims { batch: id, jobs } => {
-                for chunk in jobs.chunks(SHARD_CHUNK) {
-                    let plain: Vec<SimJob> = chunk.iter().map(|j| j.job).collect();
-                    let outcomes = batch.run_batch(&plain);
-                    send_msg(
-                        &mut transport,
-                        &ShardEvent::SimChunk {
-                            batch: id,
-                            indices: chunk.iter().map(|j| j.index).collect(),
-                            outcomes,
-                        },
-                    )?;
-                }
-            }
             ShardRequest::RunSplits { batch: id, jobs } => {
                 for chunk in jobs.chunks(SHARD_CHUNK) {
                     let plain: Vec<SplitJob> = chunk.iter().map(|j| j.job.clone()).collect();
@@ -290,7 +275,7 @@ struct Coordinator {
 }
 
 /// A fleet of shard workers behind the same job-level contracts as
-/// [`BatchRunner`]: [`PairSource`] and [`SimSource`].
+/// [`BatchRunner`]: [`PairSource`], [`SplitSource`] and [`MultiSource`].
 ///
 /// Every batch is partitioned round-robin across live shards, executed
 /// remotely, and merged by job index, so the result vector is
@@ -443,53 +428,11 @@ impl ShardedBackend {
                     .collect(),
             },
             |event| match event {
-                ShardEvent::Paired {
-                    batch,
-                    index,
-                    outcome,
-                } => Some((batch, vec![(index, outcome)])),
                 ShardEvent::PairedChunk {
                     batch,
                     indices,
                     outcomes,
-                } if indices.len() == outcomes.len() => {
-                    Some((batch, indices.into_iter().zip(outcomes).collect()))
-                }
-                _ => None,
-            },
-        )
-    }
-
-    /// Runs a single-simulation batch across the fleet; outcomes in job
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::AllShardsLost`] when no live shard remains
-    /// with jobs still outstanding.
-    pub fn try_run_sims(&self, jobs: &[SimJob]) -> Result<Vec<EncounterOutcome>, ServeError> {
-        self.run_indexed(
-            jobs,
-            |batch, slice| ShardRequest::RunSims {
-                batch,
-                jobs: slice
-                    .iter()
-                    .map(|&(index, job)| IndexedSimJob { index, job })
-                    .collect(),
-            },
-            |event| match event {
-                ShardEvent::Sim {
-                    batch,
-                    index,
-                    outcome,
-                } => Some((batch, vec![(index, outcome)])),
-                ShardEvent::SimChunk {
-                    batch,
-                    indices,
-                    outcomes,
-                } if indices.len() == outcomes.len() => {
-                    Some((batch, indices.into_iter().zip(outcomes).collect()))
-                }
+                } => Some((batch, indices, outcomes)),
                 _ => None,
             },
         )
@@ -524,9 +467,7 @@ impl ShardedBackend {
                     batch,
                     indices,
                     outcomes,
-                } if indices.len() == outcomes.len() => {
-                    Some((batch, indices.into_iter().zip(outcomes).collect()))
-                }
+                } => Some((batch, indices, outcomes)),
                 _ => None,
             },
         )
@@ -562,9 +503,7 @@ impl ShardedBackend {
                     batch,
                     indices,
                     outcomes,
-                } if indices.len() == outcomes.len() => {
-                    Some((batch, indices.into_iter().zip(outcomes).collect()))
-                }
+                } => Some((batch, indices, outcomes)),
                 _ => None,
             },
         )
@@ -576,18 +515,17 @@ impl ShardedBackend {
     /// keyed by job index and jobs are pure — so the partitioning
     /// (round-robin) and drain order (lowest live shard first) are
     /// chosen for balance and simplicity, not reproducibility.
-    /// `extract` turns one delivery into its `(batch, entries)` payload —
-    /// a single-entry vector for the per-job event forms, the whole
-    /// parallel-vector payload for chunk events (`None` for wrong-family
-    /// or length-mismatched deliveries, recorded as malformed). Every
-    /// entry then passes the stale/unknown/duplicate checks individually,
-    /// so a chunk straggling in from a previous batch records one typed
-    /// fault per job exactly as per-job deliveries would.
+    /// `extract` unpacks a chunk event of the batch's family into its
+    /// `(batch, indices, outcomes)` payload (`None` for another family).
+    /// Wrong-family and length-mismatched chunks are recorded as
+    /// malformed. Every entry of a chunk then passes the
+    /// stale/unknown/duplicate checks individually, so a chunk straggling
+    /// in from a previous batch records one typed fault per job.
     fn run_indexed<J: Clone, O>(
         &self,
         jobs: &[J],
         make_request: impl Fn(u64, &[(usize, J)]) -> ShardRequest,
-        extract: impl Fn(ShardEvent) -> Option<(u64, Vec<(usize, O)>)>,
+        extract: impl Fn(ShardEvent) -> Option<(u64, Vec<usize>, Vec<O>)>,
     ) -> Result<Vec<O>, ServeError> {
         // audit: allow(panic_policy, coordinator lock poisoning propagates a prior panic)
         let mut co = self.coordinator.lock().expect("coordinator lock");
@@ -707,11 +645,13 @@ impl ShardedBackend {
                         co.faults.push(ShardFault::MalformedEvent { shard });
                         continue;
                     };
-                    let Some((batch, entries)) = extract(event) else {
+                    let Some((batch, indices, outcomes)) = extract(event)
+                        .filter(|(_, indices, outcomes)| indices.len() == outcomes.len())
+                    else {
                         co.faults.push(ShardFault::MalformedEvent { shard });
                         continue;
                     };
-                    for (index, outcome) in entries {
+                    for (index, outcome) in indices.into_iter().zip(outcomes) {
                         if batch != batch_id {
                             co.faults.push(ShardFault::StaleBatch {
                                 shard,
@@ -812,18 +752,6 @@ impl PairSource for ShardedBackend {
     /// value.
     fn run_pairs(&self, jobs: &[PairedJob]) -> Vec<PairedOutcome> {
         self.try_run_pairs(jobs)
-            // audit: allow(panic_policy, JobSource is infallible by contract; panic is documented)
-            .expect("shard fleet lost every member mid-batch")
-    }
-}
-
-impl SimSource for ShardedBackend {
-    /// # Panics
-    ///
-    /// Panics if every shard is lost with jobs outstanding; see
-    /// [`ShardedBackend::try_run_sims`].
-    fn run_sims(&self, jobs: &[SimJob]) -> Vec<EncounterOutcome> {
-        self.try_run_sims(jobs)
             // audit: allow(panic_policy, JobSource is infallible by contract; panic is documented)
             .expect("shard fleet lost every member mid-batch")
     }

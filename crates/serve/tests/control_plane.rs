@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use uavca_acasx::{AcasConfig, LogicTable};
-use uavca_encounter::{EncounterParams, StatisticalEncounterModel, Stratification};
+use uavca_encounter::{StatisticalEncounterModel, Stratification};
 use uavca_serve::{
     channel_pair, recv_msg, send_msg, spawn_in_process, CampaignBackend, CampaignClient,
     CampaignId, CampaignNotice, CampaignRequest, CampaignResult, CampaignServer, CampaignSpec,
@@ -204,7 +204,7 @@ fn cancel_mid_campaign_then_resume_from_the_checkpoint_is_byte_identical() {
     send_msg(
         &mut client_end,
         &Request::Create {
-            spec: spec.clone(),
+            spec: Box::new(spec.clone()),
             checkpoint: None,
         },
     )
@@ -258,7 +258,7 @@ fn cancel_mid_campaign_then_resume_from_the_checkpoint_is_byte_identical() {
     send_msg(
         &mut client_end,
         &Request::Create {
-            spec,
+            spec: Box::new(spec),
             checkpoint: Some(checkpoint),
         },
     )
@@ -523,13 +523,19 @@ fn a_garbage_request_is_logged_and_the_other_session_keeps_working() {
         .unwrap();
     drop(bad_client_end);
 
-    // Session 0 runs a full legacy campaign, undisturbed.
+    // Session 0 creates and streams a full campaign, undisturbed.
     let client = CampaignClient::new(good_client_end);
     let request = adaptive_request();
-    let outcome = client
-        .run_campaign(&request, |_| {})
+    let id = client
+        .create_campaign(&CampaignSpec::Paired { request }, None)
         .expect("the healthy session is unaffected");
-    assert_eq!(json(&outcome), json(&paired_reference(&request)));
+    let result = client
+        .stream_campaign(id, |_| {})
+        .expect("the healthy session's campaign finishes");
+    let CampaignResult::Paired { outcome } = &result else {
+        panic!("paired result expected");
+    };
+    assert_eq!(json(outcome), json(&paired_reference(&request)));
     client.shutdown().expect("orderly shutdown");
     handle
         .join()
@@ -594,42 +600,6 @@ fn the_tcp_server_survives_a_garbage_client_and_logs_the_incident() {
     );
 }
 
-#[test]
-fn run_splits_round_trips_and_a_split_planner_drives_the_remote_service() {
-    let (client, server) = spawn_in_process(runner(), 2, 1);
-    let local = BatchRunner::serial(runner());
-
-    // Raw splitting roots through the wire agree with local execution.
-    let params = EncounterParams::head_on_template();
-    let jobs: Vec<SplitJob> = (0..5)
-        .map(|k| SplitJob {
-            params,
-            seed: 900 + k,
-            levels: vec![2000.0, 900.0],
-            branches: vec![2, 3],
-        })
-        .collect();
-    let remote = client.run_splits(&jobs).expect("service runs the roots");
-    assert_eq!(remote, local.run_splits(&jobs));
-    assert_eq!(json(&remote), json(&local.run_splits(&jobs)));
-
-    // And a *local* splitting planner can use the remote service as its
-    // SplitSource — same estimate, bit for bit.
-    let request = split_request();
-    let planner = SplitPlanner::new(runner(), request.config)
-        .model(request.model)
-        .stratification(Stratification::new(request.cpa_bins));
-    let reference = planner.run().expect("valid config");
-    let through_service = planner.run_with(&client).expect("valid config");
-    assert_eq!(json(&through_service), json(&reference));
-
-    client.shutdown().expect("orderly shutdown");
-    assert_eq!(
-        server.join().expect("clean session end"),
-        SessionEnd::ShutdownRequested
-    );
-}
-
 /// What the server side of one session did, in order: each poll's
 /// deadline, interleaved with each line the server sent.
 #[derive(Debug, Clone, PartialEq)]
@@ -685,7 +655,7 @@ fn polls_while_the_campaign_runs(spec: CampaignSpec) -> Vec<Duration> {
     send_msg(
         &mut client_end,
         &Request::Create {
-            spec,
+            spec: Box::new(spec),
             checkpoint: None,
         },
     )

@@ -58,7 +58,7 @@ enum Rig {
 /// A shard endpoint with full control over its delivery schedule: runs
 /// jobs on a real [`BatchRunner`] (outcomes must be the true ones — the
 /// point is that *delivery* faults cannot corrupt the merge) but
-/// delivers them according to the rig.
+/// delivers them according to the rig, one single-job chunk per result.
 fn rigged_shard(mut transport: ChannelTransport, rig: Rig) {
     let batch = BatchRunner::serial(runner());
     loop {
@@ -74,10 +74,10 @@ fn rigged_shard(mut transport: ChannelTransport, rig: Rig) {
         let mut events: Vec<ShardEvent> = jobs
             .iter()
             .zip(outcomes)
-            .map(|(job, outcome)| ShardEvent::Paired {
+            .map(|(job, outcome)| ShardEvent::PairedChunk {
                 batch: id,
-                index: job.index,
-                outcome,
+                indices: vec![job.index],
+                outcomes: vec![outcome],
             })
             .collect();
         match &rig {
@@ -301,4 +301,66 @@ fn empty_batches_complete_without_touching_shards() {
     let outcomes: Vec<PairedOutcome> = backend.try_run_pairs(&[]).expect("empty batch is trivial");
     assert!(outcomes.is_empty());
     assert!(backend.take_faults().is_empty());
+}
+
+#[test]
+fn malformed_and_wrong_family_chunks_are_recorded_and_ignored() {
+    // A single shard that first answers with a chunk whose indices and
+    // outcomes disagree in length, then with a chunk of the wrong job
+    // family, and only then with the true results.
+    let (coord, mut shard) = channel_pair();
+    std::thread::spawn(move || {
+        let batch = BatchRunner::serial(runner());
+        let Ok(Some(ShardRequest::RunPaired { batch: id, jobs })) =
+            recv_msg::<ShardRequest>(&mut shard)
+        else {
+            return;
+        };
+        let plain: Vec<PairedJob> = jobs.iter().map(|j| j.job).collect();
+        let outcomes = batch.run_paired(&plain);
+        let indices: Vec<usize> = jobs.iter().map(|j| j.index).collect();
+        let garbage = [
+            ShardEvent::PairedChunk {
+                batch: id,
+                indices: indices.clone(),
+                outcomes: outcomes[..1].to_vec(),
+            },
+            ShardEvent::SplitChunk {
+                batch: id,
+                indices: Vec::new(),
+                outcomes: Vec::new(),
+            },
+            ShardEvent::PairedChunk {
+                batch: id,
+                indices,
+                outcomes,
+            },
+        ];
+        for event in &garbage {
+            if send_msg(&mut shard, event).is_err() {
+                return;
+            }
+        }
+        // Hold the channel open until the coordinator shuts down.
+        let _ = recv_msg::<ShardRequest>(&mut shard);
+    });
+    let backend = ShardedBackend::from_transports(vec![Box::new(coord) as Box<dyn Transport>]);
+    let jobs = BatchRunner::repeated_paired_jobs(
+        &uavca_encounter::EncounterParams::head_on_template(),
+        3,
+        11,
+    );
+    let outcomes = backend
+        .try_run_pairs(&jobs)
+        .expect("the true chunk completes the batch");
+    assert_eq!(outcomes, BatchRunner::serial(runner()).run_paired(&jobs));
+    assert_eq!(
+        backend.take_faults(),
+        vec![
+            ShardFault::MalformedEvent { shard: 0 },
+            ShardFault::MalformedEvent { shard: 0 },
+        ],
+        "both bad chunks are faulted and merge nothing"
+    );
+    assert_eq!(backend.usage()[0].jobs_completed, jobs.len());
 }

@@ -23,16 +23,15 @@ use uavca_encounter::{EncounterParams, MultiEncounterModel, Stratification};
 use uavca_serve::{
     encode, read_frame, write_frame, CampaignId, CampaignRequest, CampaignResult, CampaignSpec,
     CampaignState, CampaignStatus, Checkpoint, Event, IndexedMultiJob, IndexedPairedJob,
-    IndexedSimJob, IndexedSplitJob, Request, RoundEvent, ShardEvent, ShardRequest,
-    SplitCampaignRequest, TcpTransport, Transport,
+    IndexedSplitJob, Request, RoundEvent, ShardEvent, ShardRequest, SplitCampaignRequest,
+    TcpTransport, Transport,
 };
 use uavca_sim::{EncounterOutcome, MultiEncounterOutcome, MultiMode, PairOutcome};
 use uavca_validation::{
     jackknife_ratio, paired_covariance, CampaignCheckpoint, CampaignConfig, CampaignConfigError,
-    CampaignOutcome, EncounterRunner, Equipage, MultiJob, MultiPairedOutcome, PairTable, PairedJob,
-    PairedOutcome, RateEstimate, RatioEstimate, RoundSummary, SimJob, SplitConfig, SplitJob,
-    SplitOutcome, SplitPlanner, SplitSource, StratifiedEstimate, StratumEstimate, StratumTally,
-    WeightedRate,
+    CampaignOutcome, EncounterRunner, MultiJob, MultiPairedOutcome, PairTable, PairedJob,
+    PairedOutcome, RateEstimate, RatioEstimate, RoundSummary, SplitConfig, SplitJob, SplitOutcome,
+    SplitPlanner, SplitSource, StratifiedEstimate, StratumEstimate, StratumTally, WeightedRate,
 };
 
 fn runner() -> EncounterRunner {
@@ -104,14 +103,6 @@ fn outcome(d: (f64, f64, f64, usize, usize, u64)) -> EncounterOutcome {
         },
         own_reversals: d.4 % 3,
         duration_s: 60.0 + d.0,
-    }
-}
-
-fn equipage(k: usize) -> Equipage {
-    match k % 3 {
-        0 => Equipage::Both,
-        1 => Equipage::OwnOnly,
-        _ => Equipage::Neither,
     }
 }
 
@@ -236,29 +227,12 @@ proptest! {
         )
     ) {
         let (p, seed, k) = draw;
-        let sim_jobs: Vec<SimJob> = (0..k % 5)
-            .map(|i| SimJob {
-                params: params(p),
-                seed: seed.wrapping_add(i as u64),
-                equipage: equipage(k + i),
-            })
-            .collect();
-        roundtrip(&Request::RunBatch { jobs: sim_jobs.clone() });
         let paired_jobs: Vec<PairedJob> = (0..k % 5)
             .map(|i| PairedJob { params: params(p), seed: seed.wrapping_add(i as u64) })
             .collect();
-        roundtrip(&Request::RunPaired { jobs: paired_jobs.clone() });
         roundtrip(&Request::Shutdown);
 
-        // The shard-level framing of the same jobs.
-        roundtrip(&ShardRequest::RunSims {
-            batch: seed,
-            jobs: sim_jobs
-                .iter()
-                .enumerate()
-                .map(|(index, &job)| IndexedSimJob { index, job })
-                .collect(),
-        });
+        // The shard-level framing of paired jobs.
         roundtrip(&ShardRequest::RunPaired {
             batch: seed,
             jobs: paired_jobs
@@ -368,11 +342,15 @@ proptest! {
                 cpa_bins: bins + 1,
                 uniform: seed % 2 == 0,
             };
-            let line = encode(&Request::RunCampaign { request });
+            let create = Request::Create {
+                spec: Box::new(CampaignSpec::Paired { request }),
+                checkpoint: None,
+            };
+            let line = encode(&create);
             if target.is_infinite() {
                 prop_assert!(line.contains("\"target_half_width\":null"), "{line}");
             }
-            roundtrip(&Request::RunCampaign { request });
+            roundtrip(&create);
         }
     }
 
@@ -387,7 +365,6 @@ proptest! {
         let outcomes: Vec<EncounterOutcome> = (0..k)
             .map(|i| outcome((d.0, d.1, d.2, d.3 + i, d.4, d.5)))
             .collect();
-        roundtrip(&Event::BatchDone { outcomes: outcomes.clone() });
         let paired: Vec<PairedOutcome> = outcomes
             .iter()
             .map(|&equipped| PairedOutcome {
@@ -395,20 +372,15 @@ proptest! {
                 unequipped: outcome((d.0, d.1 * 0.5, d.2, d.3 + 1, d.4, d.5)),
             })
             .collect();
-        roundtrip(&Event::PairedDone { outcomes: paired.clone() });
         roundtrip(&Event::Error { message: "shard fleet \"lost\"\nentirely".to_string() });
         roundtrip(&Event::ShutdownAck);
-        if let Some(&first) = outcomes.first() {
-            roundtrip(&ShardEvent::Sim { batch: d.5, index: k, outcome: first });
-            roundtrip(&ShardEvent::Paired { batch: d.5, index: k, outcome: paired[0] });
+        if let Some(&first) = paired.first() {
+            // A single-job chunk, as a shard delivering one result at a
+            // time sends it.
+            roundtrip(&ShardEvent::PairedChunk { batch: d.5, indices: vec![k], outcomes: vec![first] });
         }
-        // The per-chunk flush forms, non-contiguous indices included
+        // The per-chunk flush, non-contiguous indices included
         // (round-robin partitioning strides a shard's slice).
-        roundtrip(&ShardEvent::SimChunk {
-            batch: d.5,
-            indices: (0..k).map(|i| i * 3 + 1).collect(),
-            outcomes: outcomes.clone(),
-        });
         roundtrip(&ShardEvent::PairedChunk {
             batch: d.5,
             indices: (0..k).map(|i| i * 2).collect(),
@@ -427,21 +399,31 @@ proptest! {
         for cells in [[(3, 1, 4, 40)], [cell], [(0, 0, 0, 0)]] {
             let est = estimate(&cells);
             let summary = round_summary(&est, round);
-            let line = encode(&Event::Round { summary: summary.clone() });
+            let id = CampaignId(round as u64);
+            let event = Event::CampaignRound {
+                id,
+                round: RoundEvent::Paired { summary: summary.clone() },
+            };
+            let line = encode(&event);
             if cells[0] == (0, 0, 0, 0) {
                 prop_assert!(line.contains("null"), "undefined markers must be null: {line}");
             }
-            roundtrip(&Event::Round { summary: summary.clone() });
-            roundtrip(&Event::CampaignDone {
-                outcome: CampaignOutcome {
-                    estimate: est,
-                    rounds: vec![summary],
-                    reached_target: round % 2 == 0,
+            roundtrip(&event);
+            roundtrip(&Event::CampaignFinished {
+                id,
+                result: CampaignResult::Paired {
+                    outcome: CampaignOutcome {
+                        estimate: est,
+                        rounds: vec![summary],
+                        reached_target: round % 2 == 0,
+                    },
                 },
             });
         }
     }
 
+    /// `Create` rejects a degenerate configuration with an
+    /// [`Event::Error`] carrying the validation error's rendering.
     #[test]
     fn rejection_events_round_trip(draw in 0usize..4) {
         let error = [
@@ -450,7 +432,7 @@ proptest! {
             CampaignConfigError::ZeroRounds,
             CampaignConfigError::NonPositiveTargetHalfWidth,
         ][draw];
-        roundtrip(&Event::Rejected { error });
+        roundtrip(&Event::Error { message: error.to_string() });
     }
 }
 
@@ -481,8 +463,9 @@ proptest! {
         roundtrip(&Request::Resume { id });
         roundtrip(&Request::Cancel { id });
 
-        // Splitting roots through the batch path (satellite: RunSplits
-        // finally exists on the client-facing protocol).
+        // Splitting roots through the shard-level framing, and the
+        // chunked flush of their outcomes — non-contiguous indices, as
+        // round-robin partitioning strides a shard's slice.
         let jobs: Vec<SplitJob> = (0..kill)
             .map(|i| SplitJob {
                 params: params((100.0, 0.0, 30.0, 500.0, 1.0, 100.0)),
@@ -491,12 +474,6 @@ proptest! {
                 branches: vec![2, 3],
             })
             .collect();
-        roundtrip(&Request::RunSplits { jobs: jobs.clone() });
-        roundtrip(&Event::SplitsDone { outcomes: RiggedSplits.run_splits(&jobs) });
-
-        // The shard-level framing of the same split jobs, and the
-        // chunked flush of their outcomes — non-contiguous indices, as
-        // round-robin partitioning strides a shard's slice.
         roundtrip(&ShardRequest::RunSplits {
             batch: seed,
             jobs: jobs
@@ -550,7 +527,7 @@ proptest! {
             },
         };
         roundtrip(&Request::Create {
-            spec: CampaignSpec::Paired { request: paired_request },
+            spec: Box::new(CampaignSpec::Paired { request: paired_request }),
             checkpoint: Some(paired_ckpt.clone()),
         });
         roundtrip(&Event::CampaignRound {
@@ -594,7 +571,7 @@ proptest! {
         }
         let split_ckpt = Checkpoint::Splitting { checkpoint: stepper.checkpoint() };
         roundtrip(&Request::Create {
-            spec: CampaignSpec::Splitting { request: split_request },
+            spec: Box::new(CampaignSpec::Splitting { request: split_request }),
             checkpoint: Some(split_ckpt.clone()),
         });
         while let Some(planned) = stepper.plan_round() {
@@ -672,56 +649,81 @@ fn every_message_kind_survives_a_real_socket() {
         checkpoint: stepper.checkpoint(),
     };
     let lines: Vec<String> = vec![
-        encode(&Request::RunPaired {
-            jobs: vec![PairedJob {
-                params: params((100.0, 0.0, 30.0, 500.0, 1.0, 100.0)),
-                seed: u64::MAX,
+        encode(&ShardRequest::RunPaired {
+            batch: 6,
+            jobs: vec![IndexedPairedJob {
+                index: 0,
+                job: PairedJob {
+                    params: params((100.0, 0.0, 30.0, 500.0, 1.0, 100.0)),
+                    seed: u64::MAX,
+                },
             }],
         }),
-        encode(&Request::RunCampaign {
-            request: CampaignRequest {
-                config: CampaignConfig {
-                    target_half_width: f64::INFINITY,
-                    ..CampaignConfig::default()
+        encode(&Request::Create {
+            spec: Box::new(CampaignSpec::Paired {
+                request: CampaignRequest {
+                    config: CampaignConfig {
+                        target_half_width: f64::INFINITY,
+                        ..CampaignConfig::default()
+                    },
+                    model: Default::default(),
+                    cpa_bins: 3,
+                    uniform: false,
                 },
-                model: Default::default(),
-                cpa_bins: 3,
-                uniform: false,
+            }),
+            checkpoint: None,
+        }),
+        encode(&Event::CampaignRound {
+            id: CampaignId(2),
+            round: RoundEvent::Paired {
+                summary: round_summary(&est, 0),
             },
         }),
-        encode(&Event::Round {
-            summary: round_summary(&est, 0),
-        }),
-        encode(&Event::CampaignDone {
-            outcome: CampaignOutcome {
-                estimate: est,
-                rounds: Vec::new(),
-                reached_target: false,
+        encode(&Event::CampaignFinished {
+            id: CampaignId(2),
+            result: CampaignResult::Paired {
+                outcome: CampaignOutcome {
+                    estimate: est,
+                    rounds: Vec::new(),
+                    reached_target: false,
+                },
             },
         }),
-        encode(&Event::Rejected {
-            error: CampaignConfigError::ZeroRounds,
+        encode(&Event::Error {
+            message: CampaignConfigError::ZeroRounds.to_string(),
         }),
         encode(&ShardRequest::Shutdown),
-        encode(&ShardEvent::Sim {
+        encode(&ShardEvent::PairedChunk {
             batch: 7,
-            index: 0,
-            outcome: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
+            indices: vec![0],
+            outcomes: vec![PairedOutcome {
+                equipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
+                unequipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
+            }],
         }),
-        encode(&ShardEvent::SimChunk {
+        encode(&ShardEvent::PairedChunk {
             batch: 8,
             indices: vec![1, 4, 7],
             outcomes: vec![
-                outcome((1.0, 2.0, 3.0, 4, 5, 6)),
-                outcome((0.5, 0.0, 9.0, 1, 0, 2)),
-                outcome((7.0, 1.5, 0.25, 0, 3, 1)),
+                PairedOutcome {
+                    equipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
+                    unequipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
+                },
+                PairedOutcome {
+                    equipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
+                    unequipped: outcome((7.0, 1.5, 0.25, 0, 3, 1)),
+                },
+                PairedOutcome {
+                    equipped: outcome((7.0, 1.5, 0.25, 0, 3, 1)),
+                    unequipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
+                },
             ],
         }),
         // The control-plane lifecycle dialect.
         encode(&Request::Create {
-            spec: CampaignSpec::Splitting {
+            spec: Box::new(CampaignSpec::Splitting {
                 request: split_request,
-            },
+            }),
             checkpoint: Some(split_ckpt.clone()),
         }),
         encode(&Request::Stream { id: CampaignId(3) }),

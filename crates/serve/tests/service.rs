@@ -1,18 +1,17 @@
-//! End-to-end service behaviour: batch requests against the in-process
-//! client/server stack agree with a local [`BatchRunner`] seed for seed,
-//! degenerate campaign configurations come back as the same typed error
-//! the in-process planner returns, and a *local* planner can drive the
-//! *remote* service as its [`PairSource`] — the contracts are
-//! interchangeable by construction.
+//! End-to-end service behaviour through the campaign lifecycle API:
+//! degenerate campaign configurations are rejected at `Create` with the
+//! same validation error the in-process planner returns, uniform
+//! campaigns stream every round, and a campaign on a dead fleet fails
+//! as a typed server error while the session survives.
 
 use std::sync::{Arc, OnceLock};
 
 use uavca_acasx::{AcasConfig, LogicTable};
-use uavca_serve::{spawn_in_process, CampaignRequest, ServeError};
-use uavca_validation::{
-    BatchRunner, CampaignConfig, CampaignConfigError, CampaignPlanner, EncounterRunner, Equipage,
-    SimJob,
+use uavca_serve::{
+    channel_pair, CampaignClient, CampaignRequest, CampaignResult, CampaignServer, CampaignSpec,
+    CampaignState, RoundEvent, ServeError, SessionEnd, ShardedBackend, Transport,
 };
+use uavca_validation::{CampaignConfig, CampaignConfigError, CampaignPlanner, EncounterRunner};
 
 fn runner() -> EncounterRunner {
     static TABLE: OnceLock<Arc<LogicTable>> = OnceLock::new();
@@ -20,41 +19,26 @@ fn runner() -> EncounterRunner {
     EncounterRunner::new(table.clone())
 }
 
-#[test]
-fn batch_requests_agree_with_local_execution_seed_for_seed() {
-    let (client, server) = spawn_in_process(runner(), 2, 1);
-    let local = BatchRunner::serial(runner());
-    let params = uavca_encounter::EncounterParams::head_on_template();
-
-    let sim_jobs: Vec<SimJob> = (0..9)
-        .map(|k| SimJob {
-            params,
-            seed: 50 + k,
-            equipage: if k % 2 == 0 {
-                Equipage::Both
-            } else {
-                Equipage::Neither
-            },
-        })
-        .collect();
-    assert_eq!(
-        client.run_batch(&sim_jobs).expect("service runs the batch"),
-        local.run_batch(&sim_jobs)
-    );
-
-    let paired = BatchRunner::repeated_paired_jobs(&params, 7, 99);
-    assert_eq!(
-        client.run_paired(&paired).expect("service runs the pairs"),
-        local.run_paired(&paired)
-    );
-
-    client.shutdown().expect("orderly shutdown");
-    server.join().expect("clean session end");
+/// A server over `backend` serving one channel session on its own
+/// thread: the server handle (for fleet usage), the client, and the
+/// session's join handle.
+fn serve_one(
+    backend: ShardedBackend,
+) -> (
+    CampaignServer,
+    CampaignClient,
+    std::thread::JoinHandle<Result<SessionEnd, ServeError>>,
+) {
+    let server = CampaignServer::new(runner(), backend);
+    let server_for_thread = server.clone();
+    let (client_end, mut server_end) = channel_pair();
+    let handle = std::thread::spawn(move || server_for_thread.serve(&mut server_end));
+    (server, CampaignClient::new(client_end), handle)
 }
 
 #[test]
 fn degenerate_campaign_config_returns_the_typed_error_over_the_wire() {
-    let (client, server) = spawn_in_process(runner(), 1, 1);
+    let (server, client, handle) = serve_one(ShardedBackend::spawn_local(runner(), 1, 1));
     let request = CampaignRequest {
         config: CampaignConfig {
             max_rounds: 0,
@@ -64,19 +48,31 @@ fn degenerate_campaign_config_returns_the_typed_error_over_the_wire() {
         cpa_bins: 2,
         uniform: false,
     };
-    let mut rounds_seen = 0usize;
     let err = client
-        .run_campaign(&request, |_| rounds_seen += 1)
-        .expect_err("a degenerate config must be rejected");
-    assert_eq!(err, ServeError::Rejected(CampaignConfigError::ZeroRounds));
-    assert_eq!(rounds_seen, 0, "no round may run on a rejected config");
+        .create_campaign(&CampaignSpec::Paired { request }, None)
+        .expect_err("a degenerate config must be rejected at Create");
+    assert_eq!(
+        err,
+        ServeError::Server(CampaignConfigError::ZeroRounds.to_string()),
+        "the rejection carries the planner's own validation error"
+    );
     client.shutdown().expect("the session survives a rejection");
-    server.join().expect("clean session end");
+    assert_eq!(
+        handle.join().expect("server thread must not panic"),
+        Ok(SessionEnd::ShutdownRequested)
+    );
+    let completed: usize = server
+        .backend()
+        .usage()
+        .iter()
+        .map(|u| u.jobs_completed)
+        .sum();
+    assert_eq!(completed, 0, "no shard job may run on a rejected config");
 }
 
 #[test]
 fn uniform_campaigns_stream_rounds_like_adaptive_ones() {
-    let (client, server) = spawn_in_process(runner(), 2, 1);
+    let (_server, client, handle) = serve_one(ShardedBackend::spawn_local(runner(), 2, 1));
     let config = CampaignConfig {
         seed: 11,
         pilot_per_stratum: 3,
@@ -91,10 +87,19 @@ fn uniform_campaigns_stream_rounds_like_adaptive_ones() {
         cpa_bins: 2,
         uniform: true,
     };
+    let id = client
+        .create_campaign(&CampaignSpec::Paired { request }, None)
+        .expect("uniform campaign creates");
     let mut streamed = Vec::new();
-    let outcome = client
-        .run_campaign(&request, |round| streamed.push(round.clone()))
+    let result = client
+        .stream_campaign(id, |round| match round {
+            RoundEvent::Paired { summary } => streamed.push(summary.clone()),
+            RoundEvent::Splitting { .. } => panic!("a paired campaign streams paired rounds"),
+        })
         .expect("uniform campaign runs");
+    let CampaignResult::Paired { outcome } = result else {
+        panic!("a paired campaign yields a paired result, got {result:?}");
+    };
     assert_eq!(
         streamed, outcome.rounds,
         "every uniform round is streamed, in order"
@@ -107,26 +112,23 @@ fn uniform_campaigns_stream_rounds_like_adaptive_ones() {
         .expect("valid config");
     assert_eq!(outcome, reference);
     client.shutdown().expect("orderly shutdown");
-    server.join().expect("clean session end");
+    assert_eq!(
+        handle.join().expect("server thread must not panic"),
+        Ok(SessionEnd::ShutdownRequested)
+    );
 }
 
 #[test]
 fn campaign_on_a_dead_fleet_is_a_typed_server_error_and_the_session_survives() {
-    use uavca_serve::{
-        channel_pair, CampaignClient, CampaignServer, SessionEnd, ShardedBackend, Transport,
-    };
-
-    // A fleet that is dead on arrival: the campaign cannot run, but the
-    // session must report that as an Event::Error (ServeError::Server on
-    // the client) and keep serving — not unwind the server thread.
+    // A fleet that is dead on arrival: the campaign cannot run. The
+    // supervisor spends its restart budget, then the stream must end
+    // with CampaignFailed (ServeError::Server on the client) and the
+    // session keep serving — not unwind the server thread.
     let (coordinator_end, shard_end) = channel_pair();
     drop(shard_end);
     let backend =
         ShardedBackend::from_transports(vec![Box::new(coordinator_end) as Box<dyn Transport>]);
-    let server = CampaignServer::new(runner(), backend);
-    let (client_end, mut server_end) = channel_pair();
-    let handle = std::thread::spawn(move || server.serve(&mut server_end));
-    let client = CampaignClient::new(client_end);
+    let (_server, client, handle) = serve_one(backend);
 
     let request = CampaignRequest {
         config: CampaignConfig {
@@ -139,14 +141,23 @@ fn campaign_on_a_dead_fleet_is_a_typed_server_error_and_the_session_survives() {
         cpa_bins: 2,
         uniform: false,
     };
+    let id = client
+        .create_campaign(&CampaignSpec::Paired { request }, None)
+        .expect("a valid spec creates even on a dead fleet");
     let err = client
-        .run_campaign(&request, |_| {})
+        .stream_campaign(id, |_| {})
         .expect_err("a dead fleet cannot run a campaign");
+    let ServeError::Server(message) = &err else {
+        panic!("fleet loss must surface as a typed server error, got {err:?}");
+    };
     assert!(
-        matches!(err, ServeError::Server(_)),
-        "fleet loss must surface as a typed server error, got {err:?}"
+        message.contains("every shard was lost"),
+        "the typed fault survives to the client: {message}"
     );
     // The session is still alive and answers further requests.
+    let status = client.campaign_status(id).expect("status answers");
+    assert_eq!(status.state, CampaignState::Failed);
+    assert_eq!(status.restarts, 3, "the default restart budget was spent");
     client
         .shutdown()
         .expect("session survives the failed campaign");
@@ -154,88 +165,4 @@ fn campaign_on_a_dead_fleet_is_a_typed_server_error_and_the_session_survives() {
         handle.join().expect("server thread must not panic"),
         Ok(SessionEnd::ShutdownRequested)
     );
-}
-
-#[test]
-fn client_disconnect_mid_campaign_aborts_instead_of_burning_the_budget() {
-    use uavca_serve::{
-        channel_pair, CampaignServer, Request, ServeError, ShardedBackend, TransportError,
-    };
-    use uavca_validation::RoundSummary;
-
-    let server = CampaignServer::new(runner(), ShardedBackend::spawn_local(runner(), 1, 1));
-    let server_for_thread = server.clone();
-    let (mut client_end, mut server_end) = channel_pair();
-    let handle = std::thread::spawn(move || server_for_thread.serve(&mut server_end));
-
-    let config = CampaignConfig {
-        seed: 3,
-        pilot_per_stratum: 3,
-        round_runs: 16,
-        max_rounds: 3,
-        target_half_width: f64::INFINITY,
-        threads: 1,
-    };
-    let request = CampaignRequest {
-        config,
-        model: Default::default(),
-        cpa_bins: 2,
-        uniform: false,
-    };
-    // Raw protocol drive (CampaignClient would block until CampaignDone):
-    // submit the campaign, take one streamed round, then vanish — drop
-    // the transport like a crashed client.
-    uavca_serve::send_msg(&mut client_end, &Request::RunCampaign { request }).unwrap();
-    let _first: RoundSummary = match uavca_serve::recv_msg::<uavca_serve::Event>(&mut client_end)
-        .unwrap()
-        .expect("the pilot round streams")
-    {
-        uavca_serve::Event::Round { summary } => summary,
-        other => panic!("expected a Round event first, got {other:?}"),
-    };
-    drop(client_end); // the client crashes here
-    let session = handle.join().expect("server thread must not panic");
-    assert_eq!(
-        session,
-        Err(ServeError::Transport(TransportError::Closed)),
-        "the session ends with the transport error, not a panic"
-    );
-
-    // The abort is the point: the fleet must not have executed the full
-    // schedule (pilot 3×8 strata + 3×16 rounds = 72 pairs) for a client
-    // that was gone after the pilot round.
-    let completed: usize = server
-        .backend()
-        .usage()
-        .iter()
-        .map(|u| u.jobs_completed)
-        .sum();
-    assert!(
-        completed < 72,
-        "campaign must abort after the client vanished; fleet ran {completed}/72 jobs"
-    );
-}
-
-#[test]
-fn a_local_planner_can_drive_the_remote_service_as_its_pair_source() {
-    let config = CampaignConfig {
-        seed: 5,
-        pilot_per_stratum: 4,
-        round_runs: 24,
-        max_rounds: 2,
-        target_half_width: f64::INFINITY,
-        threads: 1,
-    };
-    let planner = CampaignPlanner::new(runner(), config);
-    let reference = planner.run().expect("valid config");
-
-    let (client, server) = spawn_in_process(runner(), 2, 1);
-    let remote = planner.run_with(&client).expect("valid config");
-    assert_eq!(remote, reference);
-    assert_eq!(
-        serde_json::to_string(&remote.estimate).unwrap(),
-        serde_json::to_string(&reference.estimate).unwrap()
-    );
-    client.shutdown().expect("orderly shutdown");
-    server.join().expect("clean session end");
 }

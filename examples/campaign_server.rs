@@ -1,7 +1,8 @@
 //! The sharded campaign service, end to end: spawn a shard fleet and a
-//! campaign server, drive a full adaptive campaign through the client,
-//! stream its rounds as they complete, and verify the result is
-//! **byte-identical** to running the same campaign in-process.
+//! campaign server, create a full adaptive campaign through the client
+//! (`Create`), stream its rounds as they complete (`Stream`), and verify
+//! the result is **byte-identical** to running the same campaign
+//! in-process.
 //!
 //! Run with:
 //!
@@ -20,7 +21,8 @@
 
 use uavca::encounter::{StatisticalEncounterModel, Stratification};
 use uavca::serve::{
-    serve_shard_tcp, CampaignClient, CampaignRequest, CampaignServer, ShardedBackend,
+    serve_shard_tcp, CampaignClient, CampaignRequest, CampaignResult, CampaignServer, CampaignSpec,
+    RoundEvent, ShardedBackend,
 };
 use uavca::validation::{
     campaign_convergence_table, campaign_shard_table, BatchRunner, CampaignConfig, CampaignPlanner,
@@ -124,16 +126,24 @@ fn main() {
     };
 
     // --- the campaign, rounds streamed as the server finishes them ------
+    let id = client
+        .create_campaign(&CampaignSpec::Paired { request }, None)
+        .expect("the campaign is accepted");
     let mut rounds = Vec::new();
-    let outcome = client
-        .run_campaign(&request, |round| {
-            println!(
-                "  round {:>2}: {:>6} runs, risk ratio {}",
-                round.round, round.total_runs, round.risk_ratio
-            );
-            rounds.push(round.clone());
+    let result = client
+        .stream_campaign(id, |round| {
+            if let RoundEvent::Paired { summary } = round {
+                println!(
+                    "  round {:>2}: {:>6} runs, risk ratio {}",
+                    summary.round, summary.total_runs, summary.risk_ratio
+                );
+                rounds.push(summary.clone());
+            }
         })
         .expect("the campaign runs");
+    let CampaignResult::Paired { outcome } = result else {
+        panic!("a paired campaign yields a paired result");
+    };
 
     println!("\nconvergence (as streamed):");
     println!("{}", campaign_convergence_table(&rounds));
@@ -148,7 +158,7 @@ fn main() {
         .expect("valid config");
     let served = serde_json::to_string(&outcome.estimate).expect("serializable");
     let local = serde_json::to_string(&reference.estimate).expect("serializable");
-    let identical = served == local && outcome == reference;
+    let identical = served == local && outcome == reference && rounds == reference.rounds;
     println!(
         "sharded vs in-process: byte-identical = {identical} \
          ({} runs, risk ratio {})",
