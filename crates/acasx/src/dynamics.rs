@@ -74,10 +74,25 @@ impl VerticalDynamics {
     /// and intruder noise outcomes, own-major.
     ///
     /// Altitude integrates trapezoidally: the step uses the average of the
-    /// old and new rates.
+    /// old and new rates. `h' = h + Δh` with the `Δh` of
+    /// [`rate_successors`](Self::rate_successors), so every outcome except
+    /// `h'` is independent of `h`.
     pub fn successors(
         &self,
         h_ft: f64,
+        own_rate_fps: f64,
+        intruder_rate_fps: f64,
+        advisory: Advisory,
+    ) -> [(f64, f64, f64, f64); 9] {
+        self.rate_successors(own_rate_fps, intruder_rate_fps, advisory)
+            .map(|(own_next, intr_next, dh, p)| (h_ft + dh, own_next, intr_next, p))
+    }
+
+    /// The altitude-free part of [`successors`](Self::successors):
+    /// `(own_rate', intruder_rate', Δh, probability)` per outcome, in the
+    /// same order, with `Δh = ½ ((ḣ_int + ḣ_int') − (ḣ_own + ḣ_own')) · dt`.
+    pub fn rate_successors(
+        &self,
         own_rate_fps: f64,
         intruder_rate_fps: f64,
         advisory: Advisory,
@@ -91,9 +106,9 @@ impl VerticalDynamics {
             let own_next =
                 (response.next_rate_fps + w0).clamp(-self.max_rate_fps, self.max_rate_fps);
             let intr_next = (intruder_rate_fps + w1).clamp(-self.max_rate_fps, self.max_rate_fps);
-            let h_next = h_ft
-                + 0.5 * ((intruder_rate_fps + intr_next) - (own_rate_fps + own_next)) * self.dt_s;
-            (h_next, own_next, intr_next, p0 * p1)
+            let dh =
+                0.5 * ((intruder_rate_fps + intr_next) - (own_rate_fps + own_next)) * self.dt_s;
+            (own_next, intr_next, dh, p0 * p1)
         })
     }
 }

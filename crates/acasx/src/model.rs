@@ -18,8 +18,8 @@ use crate::{AcasConfig, Advisory};
 ///
 /// # Factored structure
 ///
-/// [`crate::LogicTable::solve`] relies on two facts about this model, each
-/// guarded by a test of the same name in this module:
+/// [`crate::LogicTable::solve`] relies on three facts about this model,
+/// each guarded by a test of the same name in this module:
 ///
 /// 1. `transitions_do_not_depend_on_the_previous_advisory`: the
 ///    transitions of state `previous * grid_points + g` under action `a`
@@ -28,9 +28,16 @@ use crate::{AcasConfig, Advisory};
 ///    advisory is the action itself;
 /// 2. `rewards_do_not_depend_on_the_grid_point`: the reward of that state
 ///    under `a` is `−CostModel::action_cost(previous, a)`, the same at
-///    every grid point `g`.
+///    every grid point `g`;
+/// 3. `successor_rates_do_not_depend_on_altitude`: the next rates and the
+///    probability of each of the 9 successors depend only on the two rates
+///    and the action, and the next altitude is `h + Δh` bit for bit, with
+///    the `Δh` of [`crate::VerticalDynamics::rate_successors`] — so the
+///    solve brackets `h + Δh` per grid altitude instead of storing the
+///    transitions.
 ///
-/// A model change that breaks either fact must change that solve too.
+/// A model change that breaks any of these facts must change that solve
+/// too.
 #[derive(Debug, Clone)]
 pub struct VerticalMdp {
     config: AcasConfig,
@@ -244,6 +251,29 @@ mod tests {
                         m.reward(p * gp + g, a).to_bits(),
                         at_first,
                         "previous {p} action {a} grid point {g}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn successor_rates_do_not_depend_on_altitude() {
+        let m = model();
+        let dynamics = m.config().dynamics;
+        for g in 0..m.grid_points() {
+            let [h, own, intr] = m.grid_coords(g);
+            for adv in Advisory::ALL {
+                let full = dynamics.successors(h, own, intr, adv);
+                let rates = dynamics.rate_successors(own, intr, adv);
+                for (k, (&(h_next, own_next, intr_next, p), &(o, i, dh, q))) in
+                    full.iter().zip(&rates).enumerate()
+                {
+                    let bits = |x: [f64; 4]| x.map(f64::to_bits);
+                    assert_eq!(
+                        bits([h_next, own_next, intr_next, p]),
+                        bits([h + dh, o, i, q]),
+                        "grid point {g} action {adv:?} successor {k}"
                     );
                 }
             }

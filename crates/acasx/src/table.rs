@@ -59,46 +59,58 @@ impl LogicTable {
     /// figure. Runtime grows linearly in grid points × stages; the default
     /// configuration solves in well under a second in release builds.
     ///
-    /// The induction is factored by the two structural facts documented on
-    /// [`VerticalMdp`]: transitions depend only on `(grid point, action)`,
-    /// so they are generated once (through [`VerticalMdp`]'s
-    /// `transitions_into`) and reused by every stage, and rewards depend
-    /// only on `(previous, action)`, so each stage computes one expectation
-    /// `E[g, a] = Σ p · V[next]` per grid point and action. It stores the
-    /// discounted row `γ · E[g, a]` once (the layout note on
-    /// [`LogicTable`]) and computes the next stage's values
-    /// `V(previous, g) = max_a (r(previous, a) + γ · E[g, a])` for all 7
-    /// previous advisories. The sums run in transition order and use the
-    /// same expressions as [`uavca_mdp::BackwardInduction`], so every Q
-    /// value a lookup or [`save`](Self::save) rebuilds is bit-identical to
-    /// the generic solver's.
+    /// The induction is factored by the three structural facts documented
+    /// on [`VerticalMdp`]. Rewards depend only on `(previous, action)`, so
+    /// each stage computes one expectation `E[g, a] = Σ p · V[next]` per
+    /// grid point and action, stores the discounted row `γ · E[g, a]` once
+    /// (the layout note on [`LogicTable`]) and computes the next stage's
+    /// values `V(previous, g) = max_a (r(previous, a) + γ · E[g, a])` for
+    /// all 7 previous advisories. Transitions depend only on
+    /// `(grid point, action)`, and a successor's rates, probability and
+    /// altitude step `Δh` only on `(rate point, action)`, so the
+    /// transitions are never materialized: the solve keeps the
+    /// probability and rate corners of each (rate point, action,
+    /// successor) and one altitude bracket of `h + Δh` per grid altitude,
+    /// and every stage expands them on the fly. The expansion visits the
+    /// same corners in the same order with the same weight products as
+    /// [`VerticalMdp`]'s `transitions_into`, so the sums and the
+    /// expressions are those of [`uavca_mdp::BackwardInduction`] and every
+    /// Q value a lookup or [`save`](Self::save) rebuilds is bit-identical
+    /// to the generic solver's.
     pub fn solve(config: &AcasConfig) -> LogicTable {
         const NA: usize = Advisory::COUNT;
-        // 9 successors, each interpolated over at most 2³ grid corners.
-        const MAX_ROW: usize = 9 * 8;
+        // Successors per (rate point, action): the 3 × 3 noise outcomes of
+        // `VerticalDynamics::rate_successors`.
+        const NK: usize = 9;
         let model = VerticalMdp::new(config.clone());
+        let grid = model.grid();
         let gp = model.grid_points();
         let gamma = model.discount();
+        // Grid point `g = i * nr + r`: altitude `i`, rate point `r`
+        // (intruder rate fastest).
+        let (hs, owns, intrs) = (grid.axis(0), grid.axis(1), grid.axis(2));
+        let (nh, nr) = (hs.len(), owns.len() * intrs.len());
 
-        // Row `g * NA + a` holds the transitions of grid point `g` under
-        // action `a` (previous advisory COC: state index `g`). Reserving the
-        // upper bound avoids `Vec` doubling; untouched pages stay
-        // non-resident.
-        let rows = gp * NA;
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut next = Vec::with_capacity(rows * MAX_ROW);
-        let mut prob = Vec::with_capacity(rows * MAX_ROW);
-        offsets.push(0);
-        let mut scratch = Vec::with_capacity(MAX_ROW);
-        for g in 0..gp {
-            for a in 0..NA {
-                scratch.clear();
-                model.transitions_into(g, a, &mut scratch);
-                for t in &scratch {
-                    next.push(u32::try_from(t.next_state).expect("state count fits in u32"));
-                    prob.push(t.probability);
+        // Both tables are (rate point, action, successor)-major; the
+        // altitude brackets hold `nh` consecutive `(lo · nr, frac)` entries
+        // per successor, so one stage streams through them in order.
+        let rows = nr * NA * NK;
+        let mut rate = Vec::with_capacity(rows);
+        let mut h_lo = Vec::with_capacity(rows * nh);
+        let mut h_frac = Vec::with_capacity(rows * nh);
+        for &own in owns {
+            for &intr in intrs {
+                for adv in Advisory::ALL {
+                    let successors = config.dynamics.rate_successors(own, intr, adv);
+                    for (own_next, intr_next, dh, p) in successors {
+                        rate.push(RateSuccessor::new(grid, own_next, intr_next, p));
+                        for &h in hs {
+                            let (lo, frac) = grid.bracket(0, h + dh);
+                            h_lo.push(u32::try_from(lo * nr).expect("grid points fit in u32"));
+                            h_frac.push(frac);
+                        }
+                    }
                 }
-                offsets.push(next.len());
             }
         }
         let reward: [[f64; NA]; NA] =
@@ -108,21 +120,49 @@ impl LogicTable {
         let mut e = vec![0.0; num_stages * gp * NA];
         let mut values = model.terminal_values();
         let mut next_values = vec![0.0; NA * gp];
+        let mut acc = vec![0.0; nh];
         for stage in e.chunks_exact_mut(gp * NA) {
-            for (g, row) in stage.chunks_exact_mut(NA).enumerate() {
-                let bounds = offsets[g * NA..=(g + 1) * NA].windows(2);
-                for (slot, bound) in row.iter_mut().zip(bounds) {
-                    let (lo, hi) = (bound[0], bound[1]);
-                    let mut acc = 0.0;
-                    for (&n, &p) in next[lo..hi].iter().zip(&prob[lo..hi]) {
-                        acc += p * values[n as usize];
+            // All `nh` altitude chains of one (rate point, action) advance
+            // together: the rate corners are shared, and each chain's sum
+            // still runs in transition order.
+            for (r, by_action) in rate.chunks_exact(NA * NK).enumerate() {
+                for (a, successors) in by_action.chunks_exact(NK).enumerate() {
+                    let v = &values[a * gp..][..gp];
+                    let row = (r * NA + a) * NK * nh;
+                    acc.fill(0.0);
+                    for (succ, (los, fracs)) in successors.iter().zip(
+                        h_lo[row..]
+                            .chunks_exact(nh)
+                            .zip(h_frac[row..].chunks_exact(nh)),
+                    ) {
+                        for &(w_own, w_intr, offset) in succ.corners() {
+                            for ((acc, &lo), &frac) in acc.iter_mut().zip(los).zip(fracs) {
+                                // `w > 0` is `transitions_into`'s test; it also
+                                // skips the zero-weight corners (a `0 · −∞`
+                                // term would be NaN) and so never reads the
+                                // missing upper corner of a one-point axis.
+                                let next = lo as usize + offset;
+                                let w = ((1.0 - frac) * w_own) * w_intr;
+                                if w > 0.0 {
+                                    *acc += succ.p * w * v[next];
+                                }
+                                let w = (frac * w_own) * w_intr;
+                                if w > 0.0 {
+                                    *acc += succ.p * w * v[next + nr];
+                                }
+                            }
+                        }
                     }
-                    *slot = gamma * acc;
+                    for (i, &acc) in acc.iter().enumerate() {
+                        stage[(i * nr + r) * NA + a] = gamma * acc;
+                    }
                 }
+            }
+            for (g, row) in stage.chunks_exact(NA).enumerate() {
                 for (p, r) in reward.iter().enumerate() {
                     next_values[p * gp + g] = r
                         .iter()
-                        .zip(&*row)
+                        .zip(row)
                         .map(|(&r, &e)| r + e)
                         .fold(f64::NEG_INFINITY, f64::max);
                 }
@@ -131,7 +171,7 @@ impl LogicTable {
         }
         LogicTable {
             config: config.clone(),
-            grid: model.grid().clone(),
+            grid: grid.clone(),
             num_stages,
             reward,
             e,
@@ -252,7 +292,8 @@ impl LogicTable {
     fn tau_blend(&self, tau_s: f64) -> (usize, usize, f64) {
         let stages = self.num_stages as f64;
         let dt = self.config.dynamics.dt_s;
-        let t = (tau_s / dt).clamp(1.0, stages);
+        // `max`/`min` rather than `clamp`: a NaN τ takes stage 1, like −∞.
+        let t = (tau_s / dt).max(1.0).min(stages);
         let k_lo = t.floor() as usize;
         let k_hi = t.ceil() as usize;
         (k_lo, k_hi, t - k_lo as f64)
@@ -484,6 +525,48 @@ impl LogicTable {
     }
 }
 
+/// One stochastic successor of a (rate point, action) pair in
+/// [`LogicTable::solve`]: its probability and the non-zero corners of its
+/// next rates `(ḣ_own', ḣ_int')` on the two rate axes.
+struct RateSuccessor {
+    p: f64,
+    len: usize,
+    /// `(w_own, w_intr, offset)`: the two per-axis weights of a corner and
+    /// its flat index within one altitude slice of the grid.
+    corners: [(f64, f64, usize); 4],
+}
+
+impl RateSuccessor {
+    /// Brackets the next rates on axes 1 and 2 and lists the corners in
+    /// the grid's corner order (own rate before intruder rate), skipping
+    /// zero per-axis weights as interpolation does.
+    fn new(grid: &RectGrid, own_next: f64, intr_next: f64, p: f64) -> Self {
+        let (own_lo, own_frac) = grid.bracket(1, own_next);
+        let (intr_lo, intr_frac) = grid.bracket(2, intr_next);
+        let own = [(1.0 - own_frac, own_lo), (own_frac, own_lo + 1)];
+        let intr = [(1.0 - intr_frac, intr_lo), (intr_frac, intr_lo + 1)];
+        let n_intr = grid.axis(2).len();
+        let mut out = RateSuccessor {
+            p,
+            len: 0,
+            corners: [(0.0, 0.0, 0); 4],
+        };
+        for (w_intr, l) in intr {
+            for (w_own, j) in own {
+                if w_own != 0.0 && w_intr != 0.0 {
+                    out.corners[out.len] = (w_own, w_intr, j * n_intr + l);
+                    out.len += 1;
+                }
+            }
+        }
+        out
+    }
+
+    fn corners(&self) -> &[(f64, f64, usize)] {
+        &self.corners[..self.len]
+    }
+}
+
 /// A 7-advisory row viewed as a fixed-size array so the accumulation
 /// kernel unrolls at the type level.
 #[inline]
@@ -686,6 +769,22 @@ mod tests {
         let q_high = t.q_values(0.0, 0.0, 0.0, 1e9, Advisory::Coc);
         let q_max = t.q_values(0.0, 0.0, 0.0, t.num_stages() as f64, Advisory::Coc);
         assert_eq!(q_high, q_max);
+    }
+
+    #[test]
+    fn nan_inputs_look_up_like_negative_infinity() {
+        let t = coarse_table();
+        let base = [120.0, 3.0, -4.0, 6.5];
+        for dim in 0..base.len() {
+            let q_at = |x: f64| {
+                let mut query = base;
+                query[dim] = x;
+                let [h, own, intr, tau] = query;
+                t.q_values(h, own, intr, tau, Advisory::Cl1500)
+                    .map(f64::to_bits)
+            };
+            assert_eq!(q_at(f64::NAN), q_at(f64::NEG_INFINITY), "input {dim}");
+        }
     }
 
     #[test]

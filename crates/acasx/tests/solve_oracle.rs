@@ -4,8 +4,9 @@
 //!
 //! Both tables are compared as stage-Q JSON. The writer prints every
 //! finite `f64` in shortest round-trip form and the parser reads it back
-//! exactly, so distinct bit patterns (±0 included) print differently and
-//! equal strings mean bit-identical tables.
+//! exactly, and it writes `NaN`, `Infinity` and `-Infinity` as distinct
+//! literals, so distinct bit patterns (±0 included) print differently and
+//! equal strings mean bit-identical tables (up to NaN payloads).
 
 mod common;
 
@@ -46,6 +47,24 @@ fn assert_solve_matches_oracle(config: &AcasConfig) {
 #[test]
 fn coarse_table_matches_backward_induction() {
     assert_solve_matches_oracle(&AcasConfig::coarse());
+}
+
+/// An infinite NMAC cost makes terminal values `−∞`: a solve that adds the
+/// zero-weight corners as `0 · V` turns them into NaN.
+#[test]
+fn infinite_nmac_cost_matches_backward_induction() {
+    let mut config = AcasConfig::coarse();
+    config.costs.nmac = f64::INFINITY;
+    assert_solve_matches_oracle(&config);
+}
+
+/// One-point axes have no upper corner to read.
+#[test]
+fn one_point_axes_match_backward_induction() {
+    let mut config = AcasConfig::coarse();
+    config.h_points = 1;
+    config.rate_points = 1;
+    assert_solve_matches_oracle(&config);
 }
 
 proptest! {

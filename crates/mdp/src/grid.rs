@@ -346,6 +346,24 @@ impl RectGrid {
         Ok(())
     }
 
+    /// The interpolation bracket of coordinate `x` on axis `dim`:
+    /// `(lower, fraction)` such that
+    /// `x ≈ axis[lower] * (1 - fraction) + axis[lower + 1] * fraction`,
+    /// saturated at the axis ends (the implicit clamp of every
+    /// interpolation path). `fraction` lies in `[0, 1)` except at the very
+    /// top of the axis, where it is `1`; a one-point axis and a NaN `x`
+    /// both give `(0, 0.0)`, so a NaN behaves like `−∞`. The per-axis
+    /// weights of the corners are `1 - fraction` (lower) and `fraction`
+    /// (upper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is out of range.
+    #[inline]
+    pub fn bracket(&self, dim: usize, x: f64) -> (usize, f64) {
+        bracket(&self.axes[dim], x)
+    }
+
     /// Validates an interpolation arity against the grid and the fixed-size
     /// corner capacity, returning the dimensionality.
     fn check_interp_dims(&self, got: usize) -> Result<usize> {
@@ -460,7 +478,10 @@ fn expand_corners_with(
 /// with `fraction ∈ [0, 1)` except at the very top of the axis.
 fn bracket(axis: &[f64], x: f64) -> (usize, f64) {
     debug_assert!(!axis.is_empty());
-    if axis.len() == 1 || x <= axis[0] {
+    // `!(x > a)` rather than `x <= a`: a NaN takes the bottom bracket
+    // instead of falling through to an underflowing search below.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if axis.len() == 1 || !(x > axis[0]) {
         return (0, 0.0);
     }
     let last = axis.len() - 1;
@@ -563,6 +584,18 @@ mod tests {
             assert!((total - 1.0).abs() < 1e-12, "{q:?}");
             assert!(w.weights.iter().all(|&x| (0.0..=1.0 + 1e-12).contains(&x)));
         }
+    }
+
+    #[test]
+    fn bracket_saturates_and_sends_nan_to_the_bottom() {
+        let g = grid2();
+        assert_eq!(g.bracket(0, 2.0), (1, 0.5));
+        assert_eq!(g.bracket(0, 1.0), (1, 0.0));
+        assert_eq!(g.bracket(0, 7.0), (1, 1.0));
+        assert_eq!(g.bracket(0, f64::NEG_INFINITY), (0, 0.0));
+        assert_eq!(g.bracket(0, f64::NAN), (0, 0.0));
+        let nan = g.interp_weights(&[f64::NAN, 0.0]).unwrap();
+        assert_eq!(nan, g.interp_weights(&[f64::NEG_INFINITY, 0.0]).unwrap());
     }
 
     #[test]
