@@ -60,8 +60,9 @@ impl AcasConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the configured axis sizes are degenerate (fewer than two
-    /// points per axis) — configurations are code, not user input.
+    /// Panics if `h_points` or `rate_points` is 0. One-point axes are
+    /// legal: the table then holds the single point, and lookups clamp to
+    /// it. Configurations are code, not user input.
     pub fn build_grid(&self) -> RectGrid {
         let vmax = self.dynamics.max_rate_fps;
         RectGridBuilder::new()
@@ -69,7 +70,7 @@ impl AcasConfig {
             .axis_linspace(-vmax, vmax, self.rate_points)
             .axis_linspace(-vmax, vmax, self.rate_points)
             .build()
-            .expect("axes are non-degenerate by construction")
+            .expect("h_points and rate_points are at least 1")
     }
 
     /// Number of decision stages (τ slices with decisions): `tau_max_s /
@@ -114,5 +115,15 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: AcasConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
+    }
+
+    #[test]
+    #[should_panic(expected = "h_points and rate_points are at least 1")]
+    fn zero_altitude_points_panic() {
+        let c = AcasConfig {
+            h_points: 0,
+            ..AcasConfig::coarse()
+        };
+        c.build_grid();
     }
 }

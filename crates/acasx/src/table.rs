@@ -1,7 +1,3 @@
-use std::io;
-use std::path::Path;
-
-use serde::{Deserialize, Serialize};
 use uavca_mdp::{InterpCorners, Mdp, QTable, RectGrid};
 use uavca_sim::Sense;
 
@@ -28,8 +24,8 @@ use crate::{AcasConfig, Advisory, AdvisorySet, VerticalMdp};
 /// copies. A lookup rebuilds each interpolation corner's Q row as
 /// `r[previous][a] + e[a]`, the same `f64` expression the solve evaluates,
 /// so every looked-up value is bit-identical to a lookup over the
-/// materialized Q rows. The serialized (JSON) representation keeps the
-/// historical per-stage `QTable` format, derived row by row.
+/// materialized Q rows. [`stage_q`](Self::stage_q) derives the
+/// materialized per-stage Q tables row by row.
 #[derive(Debug, Clone)]
 pub struct LogicTable {
     config: AcasConfig,
@@ -40,17 +36,6 @@ pub struct LogicTable {
     reward: [[f64; Advisory::COUNT]; Advisory::COUNT],
     /// Stage-major discounted expectations (see the layout note above).
     e: Vec<f64>,
-}
-
-/// The serialized (wire) shape of a [`LogicTable`]: the historical
-/// per-stage representation of the full Q table, kept so tables saved by
-/// earlier versions still load.
-#[derive(Debug, Serialize, Deserialize)]
-struct LogicTableRepr {
-    config: AcasConfig,
-    grid: RectGrid,
-    /// `stage_q[k - 1]` is the Q-table with `k` stages to go.
-    stage_q: Vec<QTable>,
 }
 
 impl LogicTable {
@@ -75,8 +60,8 @@ impl LogicTable {
     /// same corners in the same order with the same weight products as
     /// [`VerticalMdp`]'s `transitions_into`, so the sums and the
     /// expressions are those of [`uavca_mdp::BackwardInduction`] and every
-    /// Q value a lookup or [`save`](Self::save) rebuilds is bit-identical
-    /// to the generic solver's.
+    /// Q value a lookup or [`stage_q`](Self::stage_q) rebuilds is
+    /// bit-identical to the generic solver's.
     pub fn solve(config: &AcasConfig) -> LogicTable {
         const NA: usize = Advisory::COUNT;
         // Successors per (rate point, action): the 3 × 3 noise outcomes of
@@ -188,9 +173,12 @@ impl LogicTable {
         std::array::from_fn(|a| r[a] + e[a])
     }
 
-    /// Derives the per-stage Q-tables (the serialization shape) from the
-    /// factored storage. Cold path: allocates freely.
-    fn to_stage_q(&self) -> Vec<QTable> {
+    /// The materialized per-stage Q tables, derived row by row from the
+    /// factored storage: `stage_q()[k - 1]` holds
+    /// `Q(previous * grid_points + g, a)` with `k` stages to go, in the
+    /// shape of [`uavca_mdp::StagedSolution::stage_q`]. Cold path:
+    /// allocates the full `num_stages × 7 × grid_points × 7` table.
+    pub fn stage_q(&self) -> Vec<QTable> {
         let states_per_stage = Advisory::COUNT * self.grid.num_points();
         (1..=self.num_stages)
             .map(|k| {
@@ -201,68 +189,6 @@ impl LogicTable {
                     .expect("rows are exactly 7 advisories wide")
             })
             .collect()
-    }
-
-    /// Rebuilds a table from its serialized parts: validates every shape
-    /// against `config` (so the solve below costs no more than the file
-    /// already holds), solves `config`, and accepts `stage_q` only if it
-    /// equals the solved table bit for bit (the checks
-    /// [`load`](Self::load) relies on to reject inconsistent files).
-    fn from_parts(
-        config: AcasConfig,
-        grid: RectGrid,
-        stage_q: Vec<QTable>,
-    ) -> Result<LogicTable, String> {
-        if grid != config.build_grid() {
-            return Err(format!(
-                "grid does not match the configuration (expected {} points over 3 axes, \
-                 got {} points over {} axes)",
-                config.build_grid().num_points(),
-                grid.num_points(),
-                grid.num_dims()
-            ));
-        }
-        if stage_q.len() != config.num_stages() {
-            return Err(format!(
-                "stage count {} does not match the configured horizon ({} stages)",
-                stage_q.len(),
-                config.num_stages()
-            ));
-        }
-        let states_per_stage = Advisory::COUNT * grid.num_points();
-        for (k, stage) in stage_q.iter().enumerate() {
-            if stage.num_states() != states_per_stage
-                || stage.num_actions() != Advisory::COUNT
-                || !stage.is_consistent()
-            {
-                return Err(format!(
-                    "stage {} is {}x{} ({}consistent buffer), expected {}x{}",
-                    k + 1,
-                    stage.num_states(),
-                    stage.num_actions(),
-                    if stage.is_consistent() { "" } else { "in" },
-                    states_per_stage,
-                    Advisory::COUNT
-                ));
-            }
-        }
-        let table = LogicTable::solve(&config);
-        for (k, stage) in (1..).zip(&stage_q) {
-            for s in 0..states_per_stage {
-                let want = table.q_row(k, s);
-                if let Some(a) =
-                    (0..Advisory::COUNT).find(|&a| stage.get(s, a).to_bits() != want[a].to_bits())
-                {
-                    return Err(format!(
-                        "stage {k} state {s} action {a}: stored Q value {} differs from \
-                         the {} its configuration solves to",
-                        stage.get(s, a),
-                        want[a]
-                    ));
-                }
-            }
-        }
-        Ok(table)
     }
 
     /// The configuration the table was generated from.
@@ -463,65 +389,6 @@ impl LogicTable {
             out.push('\n');
         }
         out
-    }
-
-    /// Serializes the table as JSON to `writer` in the historical per-stage
-    /// format, deriving every Q row from the factored storage (see the
-    /// struct-level layout note).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error as `io::Error`.
-    pub fn save<W: io::Write>(&self, writer: W) -> io::Result<()> {
-        let repr = LogicTableRepr {
-            config: self.config.clone(),
-            grid: self.grid.clone(),
-            stage_q: self.to_stage_q(),
-        };
-        serde_json::to_writer(writer, &repr).map_err(io::Error::other)
-    }
-
-    /// Reads a table back from JSON. A mut reference can be passed as the
-    /// reader.
-    ///
-    /// The stage/grid/action shapes of the file are validated against its
-    /// embedded configuration first: a file whose grid does not match the
-    /// config, whose stage count disagrees with the horizon, or whose
-    /// Q-tables have the wrong state/action arity is rejected here instead
-    /// of panicking on a later lookup. A table is a pure function of its
-    /// configuration, so the table is then rebuilt with
-    /// [`solve`](Self::solve), and the file is accepted only if every
-    /// stored Q value equals the rebuilt one bit for bit (the JSON float
-    /// round trip is exact). This rejects any edited value or cost weight,
-    /// including Q rows that no factored table can hold.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O and deserialization errors as `io::Error`, and shape
-    /// inconsistencies or Q values that differ from the rebuilt table as
-    /// [`io::ErrorKind::InvalidData`].
-    pub fn load<R: io::Read>(reader: R) -> io::Result<LogicTable> {
-        let repr: LogicTableRepr = serde_json::from_reader(reader).map_err(io::Error::other)?;
-        Self::from_parts(repr.config, repr.grid, repr.stage_q)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))
-    }
-
-    /// Saves to a file path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation and serialization errors.
-    pub fn save_to_path<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        self.save(io::BufWriter::new(std::fs::File::create(path)?))
-    }
-
-    /// Loads from a file path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-open and deserialization errors.
-    pub fn load_from_path<P: AsRef<Path>>(path: P) -> io::Result<LogicTable> {
-        Self::load(io::BufReader::new(std::fs::File::open(path)?))
     }
 }
 
@@ -830,23 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trip_preserves_lookups() {
-        let t = coarse_table();
-        let mut buf = Vec::new();
-        t.save(&mut buf).unwrap();
-        let back = LogicTable::load(buf.as_slice()).unwrap();
-        assert_eq!(back.num_stages(), t.num_stages());
-        for (h, tau) in [(0.0, 5.0), (200.0, 9.0), (-450.0, 2.5)] {
-            for prev in Advisory::ALL {
-                let a = t.q_values(h, 0.0, 0.0, tau, prev);
-                let b = back.q_values(h, 0.0, 0.0, tau, prev);
-                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "prev {prev}");
-            }
-        }
-        assert!(t.q_bytes() > 0);
-    }
-
-    #[test]
     fn stored_bytes_hold_one_row_per_stage_and_grid_point() {
         for config in [AcasConfig::coarse(), AcasConfig::default()] {
             let t = LogicTable::solve(&config);
@@ -857,77 +707,5 @@ mod tests {
                 "{config:?}"
             );
         }
-    }
-
-    /// The saved form of the coarse table, parsed back into its parts.
-    fn saved_repr() -> LogicTableRepr {
-        let mut json = Vec::new();
-        coarse_table().save(&mut json).unwrap();
-        serde_json::from_reader(json.as_slice()).unwrap()
-    }
-
-    fn load_repr(repr: &LogicTableRepr) -> io::Result<LogicTable> {
-        LogicTable::load(serde_json::to_string(repr).unwrap().as_bytes())
-    }
-
-    #[test]
-    fn load_rejects_a_q_value_one_ulp_off() {
-        let mut repr = saved_repr();
-        assert!(load_repr(&repr).is_ok(), "pristine parts load");
-        // `r(previous, COC)` is 0 for every previous advisory, so no
-        // factored table can hold a COC value that differs between two
-        // previous advisories at the same grid point.
-        let gp = repr.grid.num_points();
-        let s = Advisory::Cl1500.index() * gp + gp / 2;
-        let stage = &mut repr.stage_q[3];
-        let coc = stage.get(s, Advisory::Coc.index());
-        stage.set(s, Advisory::Coc.index(), coc.next_up());
-        let err = load_repr(&repr).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("stage 4"), "{err}");
-    }
-
-    #[test]
-    fn load_rejects_a_cost_weight_edit_that_keeps_the_shapes() {
-        let mut repr = saved_repr();
-        repr.config.costs.reversal += 1.0;
-        let err = load_repr(&repr).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("solves to"), "{err}");
-    }
-
-    #[test]
-    fn load_rejects_inconsistent_shapes() {
-        let t = coarse_table();
-        let mut json = Vec::new();
-        t.save(&mut json).unwrap();
-        let json = String::from_utf8(json).unwrap();
-
-        // Pristine round trip loads.
-        assert!(LogicTable::load(json.as_bytes()).is_ok());
-
-        // A config whose horizon disagrees with the stored stage count.
-        let wrong_horizon = json.replacen("\"tau_max_s\":12", "\"tau_max_s\":10", 1);
-        assert_ne!(wrong_horizon, json, "substitution must hit");
-        let err = LogicTable::load(wrong_horizon.as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("stage count"), "{err}");
-
-        // A grid that no longer matches the config's axes.
-        let wrong_grid = json.replacen("\"h_max_ft\":1200", "\"h_max_ft\":1300", 1);
-        assert_ne!(wrong_grid, json, "substitution must hit");
-        let err = LogicTable::load(wrong_grid.as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("grid"), "{err}");
-
-        // A stage whose action arity is wrong: drop one value from the
-        // first stage's buffer. QTable's own deserialization validates the
-        // buffer length, so this surfaces as a parse error rather than a
-        // lookup panic.
-        let pos = json.find("\"values\":[").expect("stage values present");
-        let comma = json[pos..].find(',').expect("more than one value") + pos;
-        let mut truncated = json.clone();
-        truncated.replace_range(pos + "\"values\":[".len()..=comma, "");
-        assert!(LogicTable::load(truncated.as_bytes()).is_err());
     }
 }

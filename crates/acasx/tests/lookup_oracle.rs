@@ -1,34 +1,36 @@
 //! `LogicTable::q_values` against a reference interpolation over the
-//! saved per-stage Q rows: every looked-up value must agree bit for bit.
+//! materialized per-stage Q rows: every looked-up value must agree bit for
+//! bit.
 //!
-//! The reference reads the full Q rows of the saved table and interpolates
-//! them in the lookup's accumulation order: grid corners in
+//! The reference reads the full Q rows of `LogicTable::stage_q` and
+//! interpolates them in the lookup's accumulation order: grid corners in
 //! `interp_weights_into` order, two accumulator chains (by corner parity
 //! on a single stage, by stage when τ is blended), summed once at the end.
-//! Loading a saved table is exact (see `solve_oracle.rs`), so equal bits
-//! here mean the lookup reproduces the materialized Q table.
+//! Those rows equal the generic solver's bit for bit (see
+//! `solve_oracle.rs`), so equal bits here mean the lookup reproduces the
+//! materialized Q table.
 
 mod common;
 
 use common::small_config;
 use proptest::prelude::*;
-use serde::Deserialize;
 use uavca_acasx::{AcasConfig, Advisory, LogicTable};
 use uavca_mdp::{InterpCorners, QTable, RectGrid};
 
-/// The saved form of a table: its configuration, grid and full Q rows.
-#[derive(Deserialize)]
-struct SavedTable {
+/// A table's configuration, grid and full Q rows.
+struct MaterializedTable {
     config: AcasConfig,
     grid: RectGrid,
     stage_q: Vec<QTable>,
 }
 
-impl SavedTable {
-    fn of(table: &LogicTable) -> SavedTable {
-        let mut json = Vec::new();
-        table.save(&mut json).expect("in-memory save");
-        serde_json::from_reader(json.as_slice()).expect("table parses")
+impl MaterializedTable {
+    fn of(table: &LogicTable) -> MaterializedTable {
+        MaterializedTable {
+            config: table.config().clone(),
+            grid: table.config().build_grid(),
+            stage_q: table.stage_q(),
+        }
     }
 
     /// The reference lookup over the stored Q rows.
@@ -91,15 +93,15 @@ fn tau_queries(config: &AcasConfig) -> Vec<f64> {
 /// Checks every τ query and all 7 previous advisories at each kinematic
 /// point, given as fractions of the grid box (|fraction| > 1 is outside).
 fn assert_lookups_match(table: &LogicTable, points: &[(f64, f64, f64)]) {
-    let saved = SavedTable::of(table);
-    let h_max = saved.config.h_max_ft;
-    let v_max = saved.config.dynamics.max_rate_fps;
+    let reference = MaterializedTable::of(table);
+    let h_max = reference.config.h_max_ft;
+    let v_max = reference.config.dynamics.max_rate_fps;
     for &(fh, fo, fi) in points {
         let (h, own, intruder) = (fh * h_max, fo * v_max, fi * v_max);
-        for tau in tau_queries(&saved.config) {
+        for tau in tau_queries(&reference.config) {
             for previous in Advisory::ALL {
                 let got = table.q_values(h, own, intruder, tau, previous);
-                let want = saved.q_values(h, own, intruder, tau, previous);
+                let want = reference.q_values(h, own, intruder, tau, previous);
                 assert_eq!(
                     got.map(f64::to_bits),
                     want.map(f64::to_bits),

@@ -2,45 +2,48 @@
 //! `uavca_mdp::BackwardInduction` over `VerticalMdp`: every stage-Q value
 //! must agree bit for bit.
 //!
-//! Both tables are compared as stage-Q JSON. The writer prints every
-//! finite `f64` in shortest round-trip form and the parser reads it back
-//! exactly, and it writes `NaN`, `Infinity` and `-Infinity` as distinct
-//! literals, so distinct bit patterns (±0 included) print differently and
-//! equal strings mean bit-identical tables (up to NaN payloads).
+//! Both tables are compared through `LogicTable::stage_q`, the Q rows the
+//! factored storage rebuilds, value by value on their bit patterns, so ±0
+//! and the infinities are told apart. Any two NaNs count as equal: their
+//! payloads are not part of the table's contract.
 
 mod common;
 
 use common::small_config;
 use proptest::prelude::*;
-use serde::Deserialize;
 use uavca_acasx::{AcasConfig, LogicTable, VerticalMdp};
-use uavca_mdp::{BackwardInduction, QTable};
-
-/// The part of a saved table the comparison reads.
-#[derive(Deserialize)]
-struct SavedStages {
-    stage_q: Vec<QTable>,
-}
+use uavca_mdp::BackwardInduction;
 
 fn assert_solve_matches_oracle(config: &AcasConfig) {
-    let mut saved = Vec::new();
-    LogicTable::solve(config)
-        .save(&mut saved)
-        .expect("in-memory save");
-    let factored: SavedStages = serde_json::from_reader(saved.as_slice()).expect("table parses");
+    let factored = LogicTable::solve(config).stage_q();
 
     let model = VerticalMdp::new(config.clone());
     let oracle = BackwardInduction::new()
         .solve(&model, config.num_stages(), model.terminal_values())
         .expect("well-formed model");
 
-    assert_eq!(factored.stage_q.len(), oracle.stage_q.len());
-    for (k, (got, want)) in factored.stage_q.iter().zip(&oracle.stage_q).enumerate() {
-        assert!(
-            serde_json::to_string(got).unwrap() == serde_json::to_string(want).unwrap(),
-            "stage {} differs from BackwardInduction for {config:?}",
+    assert_eq!(factored.len(), oracle.stage_q.len());
+    for (k, (got, want)) in factored.iter().zip(&oracle.stage_q).enumerate() {
+        assert_eq!(
+            (got.num_states(), got.num_actions()),
+            (want.num_states(), want.num_actions()),
+            "stage {} shape for {config:?}",
             k + 1
         );
+        for s in 0..want.num_states() {
+            let same = got
+                .row(s)
+                .iter()
+                .zip(want.row(s))
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+            assert!(
+                same,
+                "stage {} state {s} differs from BackwardInduction ({:?} vs {:?}) for {config:?}",
+                k + 1,
+                got.row(s),
+                want.row(s)
+            );
+        }
     }
 }
 

@@ -271,11 +271,6 @@ impl Ca2dPolicy {
         let idx = self.config.state_index(y_o, x_r, y_i)?;
         Ok(OwnAction::ALL[self.policy.action(idx)])
     }
-
-    /// The underlying flat policy.
-    pub fn as_policy(&self) -> &Policy {
-        &self.policy
-    }
 }
 
 /// The solved 2-D collision avoidance system: model + optimal solution.

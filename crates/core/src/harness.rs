@@ -106,27 +106,6 @@ impl SearchOutcome {
             })
             .collect()
     }
-
-    /// Serializes the outcome (including the full evaluation archive) as
-    /// JSON — the artifact later analysis passes (clustering, re-validation)
-    /// consume.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error as `io::Error`.
-    pub fn save<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
-        serde_json::to_writer(writer, self).map_err(std::io::Error::other)
-    }
-
-    /// Reads an outcome back from JSON. A mut reference can be passed as
-    /// the reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error as `io::Error`.
-    pub fn load<R: std::io::Read>(reader: R) -> std::io::Result<SearchOutcome> {
-        serde_json::from_reader(reader).map_err(std::io::Error::other)
-    }
 }
 
 /// The paper's Fig. 3 search loop: GA over encounter genomes, evaluated by
@@ -309,19 +288,6 @@ mod tests {
         let a = harness().run_ga();
         let b = harness().run_ga();
         assert_eq!(a.result.best, b.result.best);
-    }
-
-    #[test]
-    fn outcome_json_round_trip() {
-        let outcome = harness().run_ga();
-        let mut buf = Vec::new();
-        outcome.save(&mut buf).unwrap();
-        let back = SearchOutcome::load(buf.as_slice()).unwrap();
-        assert_eq!(back.top_scenarios, outcome.top_scenarios);
-        assert_eq!(
-            back.result.num_evaluations(),
-            outcome.result.num_evaluations()
-        );
     }
 
     #[test]

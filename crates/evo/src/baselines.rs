@@ -3,7 +3,6 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::evaluate_batch;
-use crate::operators::standard_normal;
 use crate::{Bounds, EvaluationRecord, Individual};
 
 /// Result of a budget-bounded baseline search.
@@ -11,8 +10,7 @@ use crate::{Bounds, EvaluationRecord, Individual};
 pub struct SearchResult {
     /// Best individual ever evaluated.
     pub best: Individual,
-    /// Every evaluation performed, in order (`generation` is always 0 for
-    /// random search; for hill climbing it counts accepted moves).
+    /// Every evaluation performed, in order (`generation` is always 0).
     pub evaluations: Vec<EvaluationRecord>,
     /// Index of the first evaluation that reached `target_fitness`, if a
     /// target was set and reached. The headline metric when comparing
@@ -110,103 +108,6 @@ impl RandomSearch {
     }
 }
 
-/// A (1+1) evolution strategy / stochastic hill climber: perturb the
-/// incumbent with gaussian noise, keep the child if it is at least as fit.
-#[derive(Debug, Clone)]
-pub struct HillClimber {
-    bounds: Bounds,
-    budget: usize,
-    seed: u64,
-    sigma_frac: f64,
-    target_fitness: Option<f64>,
-}
-
-impl HillClimber {
-    /// Creates a climber with `budget` evaluations and step size
-    /// σ = 10% of each gene's range.
-    pub fn new(bounds: Bounds, budget: usize) -> Self {
-        Self {
-            bounds,
-            budget,
-            seed: 0,
-            sigma_frac: 0.1,
-            target_fitness: None,
-        }
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the gaussian step size as a fraction of each gene's range.
-    pub fn sigma_frac(mut self, f: f64) -> Self {
-        self.sigma_frac = f;
-        self
-    }
-
-    /// Stops as soon as `target` is reached.
-    pub fn target_fitness(mut self, target: f64) -> Self {
-        self.target_fitness = Some(target);
-        self
-    }
-
-    /// Runs the climb.
-    pub fn run<F>(&self, fitness: F) -> SearchResult
-    where
-        F: Fn(&[f64]) -> f64 + Sync,
-    {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut evaluations = Vec::with_capacity(self.budget);
-        let mut current = self.bounds.sample_uniform(&mut rng);
-        let mut current_fit = fitness(&current);
-        evaluations.push(EvaluationRecord {
-            index: 0,
-            generation: 0,
-            genes: current.clone(),
-            fitness: current_fit,
-        });
-        let mut best = Individual::new(current.clone(), current_fit);
-        let mut first_hit = self
-            .target_fitness
-            .is_some_and(|t| current_fit >= t)
-            .then_some(0);
-        let mut accepted = 0usize;
-        while evaluations.len() < self.budget && first_hit.is_none() {
-            let mut child = current.clone();
-            for (i, gene) in child.iter_mut().enumerate() {
-                *gene += standard_normal(&mut rng) * self.sigma_frac * self.bounds.width(i);
-            }
-            self.bounds.clamp(&mut child);
-            let child_fit = fitness(&child);
-            let index = evaluations.len();
-            evaluations.push(EvaluationRecord {
-                index,
-                generation: accepted,
-                genes: child.clone(),
-                fitness: child_fit,
-            });
-            if child_fit >= current_fit {
-                current = child.clone();
-                current_fit = child_fit;
-                accepted += 1;
-            }
-            if child_fit > best.fitness {
-                best = Individual::new(child, child_fit);
-            }
-            if self.target_fitness.is_some_and(|t| child_fit >= t) {
-                first_hit = Some(index);
-            }
-        }
-        SearchResult {
-            best,
-            evaluations,
-            first_hit,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,32 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn hill_climber_improves_monotonically_in_accepted_moves() {
-        let r = HillClimber::new(bounds(), 400).seed(3).run(neg_sphere);
-        assert!(
-            r.best.fitness > -1.0,
-            "hill climbing on a sphere gets close: {}",
-            r.best.fitness
-        );
-        assert_eq!(r.num_evaluations(), 400);
-    }
-
-    #[test]
-    fn hill_climber_stops_at_target() {
-        let r = HillClimber::new(bounds(), 100_000)
-            .seed(4)
-            .target_fitness(-0.5)
-            .run(neg_sphere);
-        assert!(r.first_hit.is_some());
-        assert!(r.num_evaluations() < 100_000);
-    }
-
-    #[test]
     fn baselines_keep_genomes_in_bounds() {
         let b = bounds();
         let r = RandomSearch::new(b.clone(), 100).seed(5).run(neg_sphere);
         assert!(r.evaluations.iter().all(|e| b.contains(&e.genes)));
-        let h = HillClimber::new(b.clone(), 100).seed(5).run(neg_sphere);
-        assert!(h.evaluations.iter().all(|e| b.contains(&e.genes)));
     }
 }

@@ -14,7 +14,8 @@
 //! * [`GeneticAlgorithm`] — the generational engine with elitism and
 //!   parallel fitness evaluation, recording every evaluation (the paper's
 //!   Fig. 6 plots fitness per *encounter*, not per generation), and
-//! * budget-matched baselines: [`RandomSearch`] and [`HillClimber`].
+//! * the budget-matched baseline the paper compares against,
+//!   [`RandomSearch`].
 //!
 //! # Example
 //!
@@ -42,7 +43,7 @@ mod error;
 mod operators;
 mod population;
 
-pub use baselines::{HillClimber, RandomSearch, SearchResult};
+pub use baselines::{RandomSearch, SearchResult};
 pub use bounds::Bounds;
 pub use engine::{EvaluationRecord, GaConfig, GaResult, GenerationStats, GeneticAlgorithm};
 pub use error::EvoError;

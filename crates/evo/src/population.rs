@@ -80,11 +80,6 @@ impl Population {
         refs.truncate(k);
         refs
     }
-
-    /// Consumes the population, returning its members.
-    pub fn into_members(self) -> Vec<Individual> {
-        self.members
-    }
 }
 
 impl FromIterator<Individual> for Population {

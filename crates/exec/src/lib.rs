@@ -112,11 +112,6 @@ impl Executor {
         Self { threads: 1 }
     }
 
-    /// The configured thread count (`0` = hardware parallelism).
-    pub fn configured_threads(&self) -> usize {
-        self.threads
-    }
-
     /// The number of workers a call over `jobs` jobs will actually use.
     pub fn resolved_threads(&self, jobs: usize) -> usize {
         let hw = std::thread::available_parallelism()

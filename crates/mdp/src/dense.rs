@@ -5,8 +5,8 @@ use crate::{Mdp, MdpError, Result, Transition};
 ///
 /// Suitable for small models such as the 2-D teaching example of the paper's
 /// Section III, where every `(state, action)` pair enumerates a handful of
-/// successor states. Large discretized models should prefer [`crate::SparseMdp`]
-/// or implement [`Mdp`] directly over an implicit representation.
+/// successor states. Large discretized models should implement [`Mdp`]
+/// directly over an implicit representation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMdp {
     num_states: usize,

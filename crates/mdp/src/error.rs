@@ -12,13 +12,6 @@ pub enum MdpError {
         /// The number of states in the model.
         num_states: usize,
     },
-    /// An action index was outside `0..num_actions`.
-    ActionOutOfRange {
-        /// The offending action index.
-        action: usize,
-        /// The number of actions in the model.
-        num_actions: usize,
-    },
     /// The outgoing transition probabilities of a state/action pair do not
     /// sum to one (within tolerance), or a probability was negative/NaN.
     InvalidDistribution {
@@ -64,15 +57,6 @@ impl fmt::Display for MdpError {
                 write!(
                     f,
                     "state index {state} out of range (model has {num_states} states)"
-                )
-            }
-            MdpError::ActionOutOfRange {
-                action,
-                num_actions,
-            } => {
-                write!(
-                    f,
-                    "action index {action} out of range (model has {num_actions} actions)"
                 )
             }
             MdpError::InvalidDistribution {

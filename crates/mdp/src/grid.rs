@@ -513,14 +513,16 @@ impl RectGridBuilder {
         self
     }
 
-    /// Adds an axis of `n` evenly spaced points spanning `[lo, hi]`.
+    /// Adds an axis of `n` evenly spaced points spanning `[lo, hi]`. One
+    /// point is `[lo]`; `n = 0` adds an empty axis, which
+    /// [`build`](Self::build) rejects.
     pub fn axis_linspace(mut self, lo: f64, hi: f64, n: usize) -> Self {
-        let coords = if n <= 1 {
-            vec![lo]
-        } else {
-            (0..n)
+        let coords = match n {
+            0 => Vec::new(),
+            1 => vec![lo],
+            _ => (0..n)
                 .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-                .collect()
+                .collect(),
         };
         self.axes.push(coords);
         self
@@ -567,6 +569,14 @@ mod tests {
         assert!(RectGridBuilder::new().axis(vec![]).build().is_err());
         assert!(RectGridBuilder::new().axis(vec![1.0, 1.0]).build().is_err());
         assert!(RectGridBuilder::new().axis(vec![2.0, 1.0]).build().is_err());
+        // A 0-point linspace axis is empty, not the one-point axis `[lo]`.
+        assert_eq!(
+            RectGridBuilder::new()
+                .axis(vec![0.0, 1.0])
+                .axis_linspace(-1.0, 1.0, 0)
+                .build(),
+            Err(MdpError::InvalidGridAxis { axis: 1 })
+        );
     }
 
     #[test]

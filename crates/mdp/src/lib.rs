@@ -9,7 +9,7 @@
 //!
 //! * the [`Mdp`] trait describing a finite MDP (states, actions, stochastic
 //!   transitions, rewards, discounting),
-//! * concrete models: [`DenseMdp`] (tabular) and [`SparseMdp`] (CSR-style),
+//! * a concrete tabular model, [`DenseMdp`],
 //! * solvers: [`ValueIteration`], [`PolicyIteration`] and the finite-horizon
 //!   [`BackwardInduction`] used for τ-indexed collision avoidance tables,
 //! * the resulting [`Policy`] / [`QTable`] artifacts, and
@@ -47,8 +47,6 @@ mod grid;
 mod model;
 mod policy;
 mod policy_iteration;
-mod rollout;
-mod sparse;
 mod value_iteration;
 
 pub use backward::{BackwardInduction, StagedSolution};
@@ -60,8 +58,6 @@ pub use grid::{
 pub use model::{Mdp, Transition};
 pub use policy::{Policy, QTable};
 pub use policy_iteration::{PolicyIteration, PolicyIterationStats};
-pub use rollout::RolloutSimulator;
-pub use sparse::{SparseMdp, SparseMdpBuilder};
 pub use value_iteration::{Solution, SweepOrder, ValueIteration, ValueIterationStats};
 
 /// Crate-wide result alias.

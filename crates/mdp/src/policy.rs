@@ -117,14 +117,6 @@ impl QTable {
         self.num_states
     }
 
-    /// Whether the value buffer length matches `num_states * num_actions`.
-    /// Always true for tables built through this API; can be false for a
-    /// hand-edited serialized table, so loaders should check it before
-    /// indexing.
-    pub fn is_consistent(&self) -> bool {
-        self.values.len() == self.num_states * self.num_actions
-    }
-
     /// Number of actions.
     pub fn num_actions(&self) -> usize {
         self.num_actions

@@ -599,11 +599,6 @@ impl ControlPlane {
         }
     }
 
-    /// Every campaign the plane has ever managed, in creation order.
-    pub fn campaign_ids(&self) -> Vec<CampaignId> {
-        self.campaigns.values().map(|c| c.id).collect()
-    }
-
     /// Current status of `id`, if known.
     pub fn status(&self, id: CampaignId) -> Option<CampaignStatus> {
         let c = self.campaigns.get(&id.0)?;

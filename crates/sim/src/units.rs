@@ -30,16 +30,6 @@ pub fn fps_to_fpm(fps: f64) -> f64 {
     fps * SECONDS_PER_MINUTE
 }
 
-/// Converts degrees to radians.
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg.to_radians()
-}
-
-/// Converts radians to degrees.
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad.to_degrees()
-}
-
 /// Normalizes an angle in radians to `(-π, π]`.
 pub fn wrap_angle(rad: f64) -> f64 {
     let two_pi = std::f64::consts::TAU;

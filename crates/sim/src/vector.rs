@@ -45,11 +45,6 @@ impl Vec3 {
         self.x * other.x + self.y * other.y + self.z * other.z
     }
 
-    /// Dot product of the horizontal projections.
-    pub fn horizontal_dot(self, other: Vec3) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
     /// The vector scaled to unit length, or zero if it is (numerically) zero.
     pub fn normalized(self) -> Vec3 {
         let n = self.norm();

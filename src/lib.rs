@@ -12,7 +12,7 @@
 //! | [`mdp`] | `uavca-mdp` | MDPs, value/policy iteration, backward induction, interpolation grids |
 //! | [`sim`] | `uavca-sim` | agent-based 3-D encounter simulation, ADS-B noise, coordination, monitors |
 //! | [`encounter`] | `uavca-encounter` | 9-parameter CPA encoding, scenario generation, geometry classes, statistical model, stratification |
-//! | [`evo`] | `uavca-evo` | genetic algorithm engine, random-search and hill-climbing baselines |
+//! | [`evo`] | `uavca-evo` | genetic algorithm engine and the random-search baseline |
 //! | [`acasx`] | `uavca-acasx` | the ACAS XU-like vertical logic (offline solve + online lookup) |
 //! | [`ca2d`] | `uavca-ca2d` | the paper's Section III 2-D teaching example |
 //! | [`svo`] | `uavca-svo` | the Selective Velocity Obstacle baseline and its 2-D simulation |

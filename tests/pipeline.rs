@@ -4,9 +4,6 @@
 //! Model (MDP) → optimization (logic table) → simulation evaluation →
 //! GA search for challenging situations → analysis.
 
-use std::sync::Arc;
-
-use uavca::acasx::{AcasConfig, LogicTable};
 use uavca::encounter::{EncounterParams, GeometryClass};
 use uavca::validation::{
     analysis, EncounterRunner, Equipage, FitnessFunction, RunScratch, ScenarioSpace, SearchConfig,
@@ -61,25 +58,6 @@ fn ga_smoke_search_finds_higher_fitness_than_population_start() {
     let space = ScenarioSpace::default();
     for s in &outcome.top_scenarios {
         assert!(space.ranges().contains(&s.params), "{:?}", s.params);
-    }
-}
-
-#[test]
-fn table_save_load_preserves_online_behaviour() {
-    let table = LogicTable::solve(&AcasConfig::coarse());
-    let mut buf = Vec::new();
-    table.save(&mut buf).unwrap();
-    let reloaded = LogicTable::load(buf.as_slice()).unwrap();
-
-    let runner_a = EncounterRunner::new(Arc::new(table));
-    let runner_b = EncounterRunner::new(Arc::new(reloaded));
-    let params = EncounterParams::head_on_template();
-    for seed in 0..5 {
-        assert_eq!(
-            runner_a.run_once(&params, seed),
-            runner_b.run_once(&params, seed),
-            "reloaded table must fly identically (seed {seed})"
-        );
     }
 }
 
