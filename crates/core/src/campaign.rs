@@ -50,12 +50,12 @@
 //! config alone (enforced by `tests/campaign_determinism.rs`).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::{StatisticalEncounterModel, Stratification, Stratum};
 use uavca_exec::{Backend, Executor};
 
 use crate::montecarlo::{finite_or_null, float_or};
+use crate::rounds::{Family, PlannedRound, ResumeError, RoundStepper, Schedule};
 use crate::{BatchRunner, EncounterRunner, PairedJob, PairedOutcome, RateEstimate};
 
 /// 97.5th percentile of the standard normal (95% two-sided intervals).
@@ -206,6 +206,17 @@ impl CampaignConfig {
             return Err(CampaignConfigError::NonPositiveTargetHalfWidth);
         }
         Ok(())
+    }
+
+    /// The round schedule this configuration fixes.
+    pub(crate) fn schedule(&self) -> Schedule {
+        Schedule {
+            seed: self.seed,
+            pilot: self.pilot_per_stratum,
+            round_budget: self.round_runs,
+            max_rounds: self.max_rounds,
+            target_half_width: self.target_half_width,
+        }
     }
 }
 
@@ -921,9 +932,8 @@ impl StratumTally {
         }
     }
 
-    /// Adds every count of `other` into this tally — the round- and
-    /// shard-merge rule ([`PairTable::merge`] on the 2×2 cells plus the
-    /// alert counters).
+    /// Adds every count of `other` into this tally ([`PairTable::merge`]
+    /// on the 2×2 cells plus the alert counters).
     pub fn merge(&mut self, other: &StratumTally) {
         self.pairs.merge(&other.pairs);
         self.alerts += other.alerts;
@@ -933,6 +943,19 @@ impl StratumTally {
     /// Total pairs recorded.
     pub fn runs(&self) -> usize {
         self.pairs.runs()
+    }
+
+    /// Total pairs recorded, or `None` when the tally is impossible: its
+    /// cells overflow, or it counts more alerts than pairs. This is how a
+    /// checkpoint that crossed a trust boundary is vetted before resuming.
+    pub(crate) fn checked_runs(&self) -> Option<usize> {
+        let p = &self.pairs;
+        let runs = p
+            .both_nmac
+            .checked_add(p.equipped_only)?
+            .checked_add(p.unequipped_only)?
+            .checked_add(p.neither)?;
+        (self.alerts <= runs && self.false_alerts <= runs).then_some(runs)
     }
 }
 
@@ -1027,16 +1050,129 @@ pub fn neyman_scores(weights: &[f64], tables: &[PairTable]) -> Vec<f64> {
         .collect()
 }
 
-/// How a campaign splits each refinement round's budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Allocation {
-    /// Proportional to stratum mass — the stratified equivalent of
-    /// uniform Monte-Carlo, the baseline adaptive campaigns are measured
-    /// against.
-    Proportional,
-    /// Neyman allocation on the paired log-ratio objective (see
-    /// [`neyman_scores`]).
-    Neyman,
+/// The paired campaign family: two-ship [`PairedJob`]s sampled from the
+/// statistical encounter model, tallied into per-stratum 2×2
+/// [`PairTable`]s ([`StratumTally`]) — the [`Family`] behind
+/// [`CampaignStepper`].
+#[derive(Debug, Clone)]
+pub struct Paired {
+    model: StatisticalEncounterModel,
+    stratification: Stratification,
+    strata: Vec<Stratum>,
+    weights: Vec<f64>,
+}
+
+impl Family for Paired {
+    type Job = PairedJob;
+    type Outcome = PairedOutcome;
+    type Tally = StratumTally;
+    type Estimate = StratifiedEstimate;
+    type Summary = RoundSummary;
+    type Report = CampaignOutcome;
+
+    fn empty_tallies(&self) -> Vec<StratumTally> {
+        vec![StratumTally::default(); self.strata.len()]
+    }
+
+    fn scores(&mut self, tallies: &[StratumTally], adaptive: bool) -> Vec<f64> {
+        if adaptive {
+            let tables: Vec<PairTable> = tallies.iter().map(|t| t.pairs).collect();
+            neyman_scores(&self.weights, &tables)
+        } else {
+            self.weights.clone()
+        }
+    }
+
+    fn job(&self, stratum: usize, rng: &mut StdRng, sim_seed: u64) -> PairedJob {
+        PairedJob {
+            params: self
+                .stratification
+                .sample(&self.model, self.strata[stratum], rng),
+            seed: sim_seed,
+        }
+    }
+
+    fn absorb(tally: &mut StratumTally, _job: &PairedJob, outcome: &PairedOutcome) {
+        tally.absorb(outcome);
+    }
+
+    fn runs(tally: &StratumTally) -> usize {
+        tally.runs()
+    }
+
+    fn estimate(&self, tallies: &[StratumTally]) -> StratifiedEstimate {
+        let weights = &self.weights;
+        let per_stratum: Vec<StratumEstimate> = self
+            .strata
+            .iter()
+            .zip(weights)
+            .zip(tallies)
+            .map(|((&stratum, &weight), t)| StratumEstimate {
+                stratum,
+                weight,
+                runs: t.runs(),
+                pairs: t.pairs,
+                equipped_nmac: RateEstimate::wilson(t.pairs.equipped_nmac(), t.runs()),
+                unequipped_nmac: RateEstimate::wilson(t.pairs.unequipped_nmac(), t.runs()),
+                disagreement: RateEstimate::wilson(t.pairs.disagree(), t.runs()),
+                alert: RateEstimate::wilson(t.alerts, t.runs()),
+                false_alert: RateEstimate::wilson(t.false_alerts, t.runs()),
+            })
+            .collect();
+        let cells = |pick: fn(&StratumTally) -> usize| -> Vec<(f64, usize, usize)> {
+            weights
+                .iter()
+                .zip(tallies)
+                .map(|(&w, t)| (w, pick(t), t.runs()))
+                .collect()
+        };
+        let tables: Vec<PairTable> = tallies.iter().map(|t| t.pairs).collect();
+        let equipped_nmac = WeightedRate::combine(&cells(|t| t.pairs.equipped_nmac()));
+        let unequipped_nmac = WeightedRate::combine(&cells(|t| t.pairs.unequipped_nmac()));
+        let covariance = paired_covariance(weights, &tables);
+        StratifiedEstimate {
+            total_runs: tallies.iter().map(StratumTally::runs).sum(),
+            covariance,
+            risk_ratio: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac, covariance),
+            risk_ratio_unpaired: RatioEstimate::from_rates(&equipped_nmac, &unequipped_nmac),
+            risk_ratio_jackknife: jackknife_ratio(weights, &tables),
+            disagreement: WeightedRate::combine(&cells(|t| t.pairs.disagree())),
+            alert: WeightedRate::combine(&cells(|t| t.alerts)),
+            false_alert: WeightedRate::combine(&cells(|t| t.false_alerts)),
+            strata: per_stratum,
+            equipped_nmac,
+            unequipped_nmac,
+        }
+    }
+
+    fn risk_ratio(estimate: &StratifiedEstimate) -> &RatioEstimate {
+        &estimate.risk_ratio
+    }
+
+    fn summarize(planned: &PlannedRound<PairedJob>, estimate: &StratifiedEstimate) -> RoundSummary {
+        RoundSummary {
+            round: planned.round,
+            allocated: planned.allocated.clone(),
+            runs_this_round: planned.jobs.len(),
+            total_runs: estimate.total_runs,
+            equipped_nmac: estimate.equipped_nmac,
+            unequipped_nmac: estimate.unequipped_nmac,
+            risk_ratio: estimate.risk_ratio,
+            risk_ratio_unpaired: estimate.risk_ratio_unpaired,
+        }
+    }
+
+    fn report(
+        estimate: StratifiedEstimate,
+        rounds: Vec<RoundSummary>,
+        reached_target: bool,
+    ) -> CampaignOutcome {
+        CampaignOutcome {
+            estimate,
+            rounds,
+            reached_target,
+        }
+    }
 }
 
 /// Plans and executes adaptive (or uniform-baseline) stratified
@@ -1116,7 +1252,7 @@ impl CampaignPlanner {
         &self,
         observer: F,
     ) -> Result<CampaignOutcome, CampaignConfigError> {
-        self.run_with_allocation(&self.batch(), Allocation::Neyman, observer)
+        self.drive(&self.batch(), true, observer)
     }
 
     /// Runs the adaptive campaign against a caller-supplied job source
@@ -1130,7 +1266,7 @@ impl CampaignPlanner {
         &self,
         source: &S,
     ) -> Result<CampaignOutcome, CampaignConfigError> {
-        self.run_with_allocation(source, Allocation::Neyman, |_| {})
+        self.drive(source, true, |_| {})
     }
 
     /// Runs the adaptive campaign against a caller-supplied job source,
@@ -1148,7 +1284,7 @@ impl CampaignPlanner {
         source: &S,
         observer: F,
     ) -> Result<CampaignOutcome, CampaignConfigError> {
-        self.run_with_allocation(source, Allocation::Neyman, observer)
+        self.drive(source, true, observer)
     }
 
     /// Runs the *uniform* baseline: identical schedule and seed rule, but
@@ -1160,7 +1296,7 @@ impl CampaignPlanner {
     /// Returns [`CampaignConfigError`] when the configuration is
     /// degenerate (same validation as [`CampaignPlanner::run`]).
     pub fn run_uniform(&self) -> Result<CampaignOutcome, CampaignConfigError> {
-        self.run_with_allocation(&self.batch(), Allocation::Proportional, |_| {})
+        self.drive(&self.batch(), false, |_| {})
     }
 
     /// [`run_uniform`](Self::run_uniform) against a caller-supplied source.
@@ -1173,7 +1309,7 @@ impl CampaignPlanner {
         &self,
         source: &S,
     ) -> Result<CampaignOutcome, CampaignConfigError> {
-        self.run_with_allocation(source, Allocation::Proportional, |_| {})
+        self.drive(source, false, |_| {})
     }
 
     /// [`run_uniform_with`](Self::run_uniform_with) with per-round
@@ -1190,77 +1326,84 @@ impl CampaignPlanner {
         source: &S,
         observer: F,
     ) -> Result<CampaignOutcome, CampaignConfigError> {
-        self.run_with_allocation(source, Allocation::Proportional, observer)
+        self.drive(source, false, observer)
     }
 
     fn batch(&self) -> BatchRunner {
         BatchRunner::new(self.runner.clone(), Executor::new(self.config.threads))
     }
 
-    fn run_with_allocation<S: PairSource, F: FnMut(&RoundSummary)>(
+    fn drive<S: PairSource, F: FnMut(&RoundSummary)>(
         &self,
         source: &S,
-        allocation: Allocation,
-        mut observer: F,
+        adaptive: bool,
+        observer: F,
     ) -> Result<CampaignOutcome, CampaignConfigError> {
-        // The monolithic run is the stepper driven to completion, so the
-        // blocking and checkpointable paths cannot drift apart: every
-        // number either path produces flows through the same planning,
-        // absorption and estimation code.
-        let mut stepper = CampaignStepper::fresh(self, allocation)?;
-        while let Some(planned) = stepper.plan_round() {
-            let outcomes = source.run_pairs(&planned.jobs);
-            let summary = stepper.complete_round(&planned, &outcomes);
-            observer(&summary);
-        }
-        Ok(stepper.outcome())
+        Ok(self
+            .stepper_with(adaptive)?
+            .drive(|jobs| source.run_pairs(jobs), observer))
     }
-}
 
-fn estimate_from(
-    strata: &[Stratum],
-    weights: &[f64],
-    tallies: &[StratumTally],
-) -> StratifiedEstimate {
-    let per_stratum: Vec<StratumEstimate> = strata
-        .iter()
-        .zip(weights)
-        .zip(tallies)
-        .map(|((&stratum, &weight), t)| StratumEstimate {
-            stratum,
-            weight,
-            runs: t.runs(),
-            pairs: t.pairs,
-            equipped_nmac: RateEstimate::wilson(t.pairs.equipped_nmac(), t.runs()),
-            unequipped_nmac: RateEstimate::wilson(t.pairs.unequipped_nmac(), t.runs()),
-            disagreement: RateEstimate::wilson(t.pairs.disagree(), t.runs()),
-            alert: RateEstimate::wilson(t.alerts, t.runs()),
-            false_alert: RateEstimate::wilson(t.false_alerts, t.runs()),
-        })
-        .collect();
-    let cells = |pick: fn(&StratumTally) -> usize| -> Vec<(f64, usize, usize)> {
-        weights
+    fn stepper_with(&self, adaptive: bool) -> Result<CampaignStepper, CampaignConfigError> {
+        self.config.validate()?;
+        let strata = self.stratification.strata();
+        let weights = strata
             .iter()
-            .zip(tallies)
-            .map(|(&w, t)| (w, pick(t), t.runs()))
-            .collect()
-    };
-    let tables: Vec<PairTable> = tallies.iter().map(|t| t.pairs).collect();
-    let equipped_nmac = WeightedRate::combine(&cells(|t| t.pairs.equipped_nmac()));
-    let unequipped_nmac = WeightedRate::combine(&cells(|t| t.pairs.unequipped_nmac()));
-    let covariance = paired_covariance(weights, &tables);
-    StratifiedEstimate {
-        total_runs: tallies.iter().map(StratumTally::runs).sum(),
-        covariance,
-        risk_ratio: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac, covariance),
-        risk_ratio_unpaired: RatioEstimate::from_rates(&equipped_nmac, &unequipped_nmac),
-        risk_ratio_jackknife: jackknife_ratio(weights, &tables),
-        disagreement: WeightedRate::combine(&cells(|t| t.pairs.disagree())),
-        alert: WeightedRate::combine(&cells(|t| t.alerts)),
-        false_alert: WeightedRate::combine(&cells(|t| t.false_alerts)),
-        strata: per_stratum,
-        equipped_nmac,
-        unequipped_nmac,
+            .map(|&s| self.stratification.weight(&self.model, s))
+            .collect();
+        let family = Paired {
+            model: self.model,
+            stratification: self.stratification,
+            strata,
+            weights,
+        };
+        Ok(RoundStepper::new(family, self.config.schedule(), adaptive))
+    }
+
+    /// A fresh adaptive (Neyman-allocated) stepper for this planner — the
+    /// resumable equivalent of [`CampaignPlanner::run`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignConfigError`] when the configuration is
+    /// degenerate (same validation as every run path).
+    pub fn stepper(&self) -> Result<CampaignStepper, CampaignConfigError> {
+        self.stepper_with(true)
+    }
+
+    /// A fresh uniform-baseline (proportionally allocated) stepper — the
+    /// resumable equivalent of [`CampaignPlanner::run_uniform`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignConfigError`] when the configuration is
+    /// degenerate.
+    pub fn uniform_stepper(&self) -> Result<CampaignStepper, CampaignConfigError> {
+        self.stepper_with(false)
+    }
+
+    /// Rebuilds a stepper from a [`CampaignCheckpoint`], restoring the
+    /// allocation rule recorded in it. The resumed stepper replays the
+    /// remaining rounds byte-identically to an uninterrupted run of the
+    /// same planner.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignResumeError`] when the planner's config is
+    /// degenerate, the checkpoint was taken under a different
+    /// stratification, or its trail or tallies are inconsistent.
+    pub fn resume(
+        &self,
+        checkpoint: &CampaignCheckpoint,
+    ) -> Result<CampaignStepper, CampaignResumeError> {
+        self.stepper_with(checkpoint.adaptive)?.restore(
+            &checkpoint.tallies,
+            &checkpoint.rounds,
+            checkpoint.next_round,
+            checkpoint.reached_target,
+            checkpoint.rounds.last().map_or(0, |r| r.total_runs),
+            StratumTally::checked_runs,
+        )
     }
 }
 
@@ -1296,347 +1439,27 @@ pub struct CampaignCheckpoint {
 
 /// A [`CampaignCheckpoint`] that cannot resume under the planner it was
 /// handed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignResumeError {
-    /// The planner's own configuration is degenerate.
-    Config(CampaignConfigError),
-    /// The checkpoint's tally count does not match the planner's
-    /// stratification — it was taken under a different design.
-    StratumCountMismatch {
-        /// Strata in the planner's stratification.
-        expected: usize,
-        /// Tallies recorded in the checkpoint.
-        found: usize,
-    },
-    /// `next_round` disagrees with the recorded round trail.
-    InconsistentTrail {
-        /// The checkpoint's claimed next round.
-        next_round: usize,
-        /// Round summaries actually recorded.
-        rounds: usize,
-    },
-}
+pub type CampaignResumeError = ResumeError<CampaignConfigError>;
 
-impl From<CampaignConfigError> for CampaignResumeError {
-    fn from(e: CampaignConfigError) -> Self {
-        CampaignResumeError::Config(e)
-    }
-}
-
-impl std::fmt::Display for CampaignResumeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CampaignResumeError::Config(e) => write!(f, "{e}"),
-            CampaignResumeError::StratumCountMismatch { expected, found } => write!(
-                f,
-                "campaign checkpoint: {found} tallies but the stratification has \
-                 {expected} strata — checkpoint taken under a different design"
-            ),
-            CampaignResumeError::InconsistentTrail { next_round, rounds } => write!(
-                f,
-                "campaign checkpoint: next_round {next_round} disagrees with \
-                 {rounds} recorded round summaries"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CampaignResumeError {}
-
-/// One planned campaign round: the paired jobs to execute plus the
-/// bookkeeping [`CampaignStepper::complete_round`] needs to absorb their
-/// outcomes. Jobs may be partitioned, sharded or interleaved with other
-/// campaigns' work arbitrarily — outcomes must simply come back in job
-/// order.
-#[derive(Debug, Clone)]
-pub struct PlannedRound {
-    /// The round these jobs belong to (0 = pilot).
-    pub round: usize,
-    /// Paired runs allocated to each stratum (canonical order).
-    pub allocated: Vec<usize>,
-    /// The paired jobs, grouped by stratum in allocation order.
-    pub jobs: Vec<PairedJob>,
-    /// `owners[i]` is the stratum index that owns `jobs[i]`.
-    pub owners: Vec<usize>,
-}
-
-/// A resumable round-by-round campaign executor — the engine under every
-/// [`CampaignPlanner`] run path, exposed so coordinators can interleave
-/// many campaigns over one fleet and checkpoint each at round boundaries.
-///
-/// The cycle is: [`plan_round`](Self::plan_round) →  run the jobs on any
-/// [`PairSource`] → [`complete_round`](Self::complete_round), repeated
-/// until `plan_round` returns `None`; [`checkpoint`](Self::checkpoint)
-/// may be taken at any point between those calls and resumed later via
-/// [`CampaignPlanner::resume`]. Because planning is a pure function of
-/// (config, tallies), a stepper driven to completion — interrupted,
-/// resumed, or interleaved — produces a [`CampaignOutcome`] byte-identical
-/// to [`CampaignPlanner::run`].
-#[derive(Debug, Clone)]
-pub struct CampaignStepper {
-    model: StatisticalEncounterModel,
-    stratification: Stratification,
-    config: CampaignConfig,
-    allocation: Allocation,
-    strata: Vec<Stratum>,
-    weights: Vec<f64>,
-    tallies: Vec<StratumTally>,
-    rounds: Vec<RoundSummary>,
-    reached_target: bool,
-    next_round: usize,
-}
+/// The resumable round-by-round paired campaign executor: the shared
+/// [`RoundStepper`] over the [`Paired`] family, whose
+/// [`CampaignCheckpoint`] [`CampaignPlanner::resume`] replays
+/// byte-identically.
+pub type CampaignStepper = RoundStepper<Paired>;
 
 impl CampaignStepper {
-    fn fresh(
-        planner: &CampaignPlanner,
-        allocation: Allocation,
-    ) -> Result<Self, CampaignConfigError> {
-        planner.config.validate()?;
-        let strata = planner.stratification.strata();
-        let weights: Vec<f64> = strata
-            .iter()
-            .map(|&s| planner.stratification.weight(&planner.model, s))
-            .collect();
-        let tallies = vec![StratumTally::default(); strata.len()];
-        Ok(Self {
-            model: planner.model,
-            stratification: planner.stratification,
-            config: planner.config,
-            allocation,
-            strata,
-            weights,
-            tallies,
-            rounds: Vec::new(),
-            reached_target: false,
-            next_round: 0,
-        })
-    }
-
-    fn resumed(
-        planner: &CampaignPlanner,
-        checkpoint: &CampaignCheckpoint,
-    ) -> Result<Self, CampaignResumeError> {
-        let allocation = if checkpoint.adaptive {
-            Allocation::Neyman
-        } else {
-            Allocation::Proportional
-        };
-        let mut stepper = Self::fresh(planner, allocation)?;
-        if checkpoint.tallies.len() != stepper.strata.len() {
-            return Err(CampaignResumeError::StratumCountMismatch {
-                expected: stepper.strata.len(),
-                found: checkpoint.tallies.len(),
-            });
-        }
-        if checkpoint.next_round != checkpoint.rounds.len() {
-            return Err(CampaignResumeError::InconsistentTrail {
-                next_round: checkpoint.next_round,
-                rounds: checkpoint.rounds.len(),
-            });
-        }
-        stepper.tallies = checkpoint.tallies.clone();
-        stepper.rounds = checkpoint.rounds.clone();
-        stepper.reached_target = checkpoint.reached_target;
-        stepper.next_round = checkpoint.next_round;
-        Ok(stepper)
-    }
-
-    /// Whether the campaign is over: the target was reached or every
-    /// round has run. [`plan_round`](Self::plan_round) returns `None`.
-    pub fn is_finished(&self) -> bool {
-        self.reached_target || self.next_round > self.config.max_rounds
-    }
-
-    /// The next round to execute (0 = pilot).
-    pub fn next_round(&self) -> usize {
-        self.next_round
-    }
-
-    /// Summaries of the rounds completed so far, in order.
-    pub fn rounds(&self) -> &[RoundSummary] {
-        &self.rounds
-    }
-
-    /// Total paired runs absorbed so far.
-    pub fn total_runs(&self) -> usize {
-        self.tallies.iter().map(StratumTally::runs).sum()
-    }
-
-    /// Plans the next round's jobs, or `None` when the campaign is
-    /// finished. Planning does not commit anything: dropping the planned
-    /// round and calling again replays the identical plan, because jobs
-    /// derive from `(campaign_seed, stratum, round, index)` and the
-    /// allocation from the merged tallies — never from wall-clock state.
-    pub fn plan_round(&mut self) -> Option<PlannedRound> {
-        if self.is_finished() {
-            return None;
-        }
-        let round = self.next_round;
-        let alloc = if round == 0 {
-            vec![self.config.pilot_per_stratum; self.strata.len()]
-        } else {
-            let scores: Vec<f64> = match self.allocation {
-                Allocation::Proportional => self.weights.clone(),
-                Allocation::Neyman => {
-                    let tables: Vec<PairTable> = self.tallies.iter().map(|t| t.pairs).collect();
-                    neyman_scores(&self.weights, &tables)
-                }
-            };
-            apportion(&scores, self.config.round_runs)
-        };
-
-        // Plan serially: every job's parameters and seed derive from
-        // (campaign_seed, stratum, round, index), never from execution
-        // order.
-        let runs_this_round: usize = alloc.iter().sum();
-        let mut jobs = Vec::with_capacity(runs_this_round);
-        let mut owners = Vec::with_capacity(runs_this_round);
-        for (si, &count) in alloc.iter().enumerate() {
-            for index in 0..count {
-                let base = campaign_job_seed(self.config.seed, si, round, index);
-                let mut rng = StdRng::seed_from_u64(base);
-                let params = self
-                    .stratification
-                    .sample(&self.model, self.strata[si], &mut rng);
-                jobs.push(PairedJob {
-                    params,
-                    seed: splitmix64(base ^ SIM_STREAM),
-                });
-                owners.push(si);
-            }
-        }
-        Some(PlannedRound {
-            round,
-            allocated: alloc,
-            jobs,
-            owners,
-        })
-    }
-
-    /// Absorbs a planned round's outcomes (in job order) and advances to
-    /// the next round, returning the round's summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `planned` is not the stepper's current round or the
-    /// outcome count does not match the job count — both are caller bugs
-    /// that would silently corrupt the campaign state if tolerated.
-    pub fn complete_round(
-        &mut self,
-        planned: &PlannedRound,
-        outcomes: &[PairedOutcome],
-    ) -> RoundSummary {
-        assert_eq!(
-            planned.round, self.next_round,
-            "complete_round fed a stale plan: round {} but the stepper is at round {}",
-            planned.round, self.next_round
-        );
-        assert_eq!(
-            outcomes.len(),
-            planned.jobs.len(),
-            "a PairSource must return exactly one outcome per job"
-        );
-        // Absorb the round into fresh per-stratum tallies, then fold
-        // those into the campaign totals through the one merge rule
-        // ([`StratumTally::merge`], i.e. [`PairTable::merge`] on the
-        // 2×2 cells). In-process and sharded sources thus share the
-        // exact accumulation path sharded backends merge partial
-        // results with — integer-count addition — so the estimate
-        // cannot depend on how a round's jobs were partitioned.
-        let mut round_tallies = vec![StratumTally::default(); self.strata.len()];
-        for (&si, pair) in planned.owners.iter().zip(outcomes) {
-            round_tallies[si].absorb(pair);
-        }
-        for (total, fresh) in self.tallies.iter_mut().zip(&round_tallies) {
-            total.merge(fresh);
-        }
-
-        let estimate = estimate_from(&self.strata, &self.weights, &self.tallies);
-        let summary = RoundSummary {
-            round: planned.round,
-            allocated: planned.allocated.clone(),
-            runs_this_round: planned.jobs.len(),
-            total_runs: estimate.total_runs,
-            equipped_nmac: estimate.equipped_nmac,
-            unequipped_nmac: estimate.unequipped_nmac,
-            risk_ratio: estimate.risk_ratio,
-            risk_ratio_unpaired: estimate.risk_ratio_unpaired,
-        };
-        self.rounds.push(summary.clone());
-        // A finite target both enables the stop and defines it; an
-        // infinite target means "never stop early" (validated > 0).
-        if self.config.target_half_width.is_finite()
-            && estimate.risk_ratio.half_width() <= self.config.target_half_width
-        {
-            self.reached_target = true;
-        }
-        self.next_round += 1;
-        summary
-    }
-
     /// The campaign's exact state at the current round boundary. Tiny —
     /// integer tallies and round summaries, no job or outcome data — and
     /// sufficient: [`CampaignPlanner::resume`] replays the rest of the
     /// campaign byte-identically.
     pub fn checkpoint(&self) -> CampaignCheckpoint {
         CampaignCheckpoint {
-            next_round: self.next_round,
-            adaptive: self.allocation == Allocation::Neyman,
+            next_round: self.next_round(),
+            adaptive: self.adaptive,
             tallies: self.tallies.clone(),
-            rounds: self.rounds.clone(),
+            rounds: self.rounds().to_vec(),
             reached_target: self.reached_target,
         }
-    }
-
-    /// The outcome as of the rounds completed so far (the final outcome
-    /// once [`is_finished`](Self::is_finished)).
-    pub fn outcome(&self) -> CampaignOutcome {
-        CampaignOutcome {
-            estimate: estimate_from(&self.strata, &self.weights, &self.tallies),
-            rounds: self.rounds.clone(),
-            reached_target: self.reached_target,
-        }
-    }
-}
-
-impl CampaignPlanner {
-    /// A fresh adaptive (Neyman-allocated) stepper for this planner — the
-    /// resumable equivalent of [`CampaignPlanner::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignConfigError`] when the configuration is
-    /// degenerate (same validation as every run path).
-    pub fn stepper(&self) -> Result<CampaignStepper, CampaignConfigError> {
-        CampaignStepper::fresh(self, Allocation::Neyman)
-    }
-
-    /// A fresh uniform-baseline (proportionally allocated) stepper — the
-    /// resumable equivalent of [`CampaignPlanner::run_uniform`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignConfigError`] when the configuration is
-    /// degenerate.
-    pub fn uniform_stepper(&self) -> Result<CampaignStepper, CampaignConfigError> {
-        CampaignStepper::fresh(self, Allocation::Proportional)
-    }
-
-    /// Rebuilds a stepper from a [`CampaignCheckpoint`], restoring the
-    /// allocation rule recorded in it. The resumed stepper replays the
-    /// remaining rounds byte-identically to an uninterrupted run of the
-    /// same planner.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignResumeError`] when the planner's config is
-    /// degenerate or the checkpoint was taken under a different
-    /// stratification.
-    pub fn resume(
-        &self,
-        checkpoint: &CampaignCheckpoint,
-    ) -> Result<CampaignStepper, CampaignResumeError> {
-        CampaignStepper::resumed(self, checkpoint)
     }
 }
 

@@ -29,6 +29,10 @@
 //!   identical seeds, so the estimator keeps the per-pair 2×2 table and
 //!   exploits the between-arm covariance), with early stop on the paired
 //!   risk-ratio CI half-width and a jackknife cross-check,
+//! * [`RoundStepper`]: the one round loop — pilot, refinement rounds,
+//!   early stop, checkpoint restore — that paired, k-aircraft
+//!   ([`MultiCampaignPlanner`]) and multilevel-splitting
+//!   ([`SplitPlanner`]) campaigns all run through their [`Family`] hooks,
 //! * [`analysis`]: geometry classification of found scenarios and a
 //!   k-means extension (the paper's "find *areas* of the search space"
 //!   future work).
@@ -56,6 +60,7 @@ mod harness;
 mod montecarlo;
 mod multi;
 mod report;
+mod rounds;
 mod runner;
 mod scenario;
 mod splitting;
@@ -63,7 +68,7 @@ mod splitting;
 pub use campaign::{
     campaign_job_seed, jackknife_ratio, neyman_scores, paired_covariance, split_branch_seed,
     CampaignCheckpoint, CampaignConfig, CampaignConfigError, CampaignOutcome, CampaignPlanner,
-    CampaignResumeError, CampaignStepper, PairSource, PairTable, PlannedRound, RatioEstimate,
+    CampaignResumeError, CampaignStepper, PairSource, PairTable, Paired, RatioEstimate,
     RoundSummary, StratifiedEstimate, StratumEstimate, StratumTally, WeightedRate,
 };
 pub use engine::{BatchRunner, PairedJob, PairedOutcome, SimEngine, SimJob};
@@ -71,19 +76,19 @@ pub use fitness::{FitnessFunction, FitnessKind};
 pub use harness::{SearchConfig, SearchHarness, SearchOutcome};
 pub use montecarlo::{MonteCarloConfig, MonteCarloEstimate, MonteCarloEstimator, RateEstimate};
 pub use multi::{
-    DensityEstimate, MultiCampaignOutcome, MultiCampaignPlanner, MultiCampaignStepper, MultiJob,
-    MultiPairedOutcome, MultiPlannedRound, MultiRoundSummary, MultiRunScratch, MultiSource,
+    DensityEstimate, Multi, MultiCampaignOutcome, MultiCampaignPlanner, MultiCampaignStepper,
+    MultiJob, MultiPairedOutcome, MultiRoundSummary, MultiRunScratch, MultiSource,
     MultiStratifiedEstimate, MultiStratumEstimate, MultiStratumTally,
 };
 pub use report::{
     campaign_convergence_table, campaign_shard_table, campaign_stratum_table,
     split_convergence_table, split_stratum_table, ShardUsage, TextTable,
 };
+pub use rounds::{Family, PlannedRound, ResumeError, RoundStepper};
 pub use runner::{EncounterRunner, Equipage, RunScratch};
 pub use scenario::ScenarioSpace;
 pub use splitting::{
-    branch_schedule, split_neyman_scores, PlannedSplitRound, SplitCampaignOutcome, SplitCheckpoint,
-    SplitConfig, SplitConfigError, SplitEstimate, SplitJob, SplitOutcome, SplitPlanner,
-    SplitResumeError, SplitRoundSummary, SplitSource, SplitStepper, SplitStratumEstimate,
-    SplitTally,
+    branch_schedule, split_neyman_scores, SplitCampaignOutcome, SplitCheckpoint, SplitConfig,
+    SplitConfigError, SplitEstimate, SplitJob, SplitOutcome, SplitPlanner, SplitResumeError,
+    SplitRoundSummary, SplitSource, SplitStepper, SplitStratumEstimate, SplitTally, Splitting,
 };

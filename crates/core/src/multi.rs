@@ -12,9 +12,15 @@
 //! per-pair NMAC probability", directly comparable across traffic
 //! densities. Pairs within one run share an airspace and are therefore
 //! positively correlated; the per-pair intervals treat them as
-//! independent and are accordingly anti-conservative at high density —
-//! the rigged-source coverage tests in `tests/multi_statistics.rs` pin
-//! down how far (see DESIGN.md for the discussion).
+//! independent and are accordingly anti-conservative at high density,
+//! though only slightly: on the coarse simulator the measured
+//! per-encounter NMAC-count design effect is 1.00 / 1.05 / 1.12 at
+//! k = 2 / 4 / 8, so the half-width is understated by at most ~6 % (see
+//! DESIGN.md for the measurement). The rigged-source coverage tests in
+//! `tests/multi_statistics.rs` pin the independent-pair baseline.
+//!
+//! The round loop is the shared [`crate::RoundStepper`]; this module
+//! supplies the [`Multi`] family it runs.
 //!
 //! Determinism follows the exact pairwise discipline: every job derives
 //! from `(campaign_seed, stratum, round, index)` via
@@ -25,7 +31,6 @@
 //! `tests/multi_determinism.rs`).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use uavca_acasx::AcasXu;
 use uavca_encounter::{
@@ -36,7 +41,7 @@ use uavca_sim::{
     CollisionAvoider, MultiEncounterOutcome, MultiEncounterWorld, MultiMode, UavState, Unequipped,
 };
 
-use crate::campaign::{apportion, campaign_job_seed, splitmix64, SIM_STREAM};
+use crate::rounds::{Family, PlannedRound, RoundStepper};
 use crate::{
     jackknife_ratio, neyman_scores, paired_covariance, BatchRunner, CampaignConfig,
     CampaignConfigError, EncounterRunner, PairTable, RateEstimate, RatioEstimate, WeightedRate,
@@ -239,8 +244,7 @@ impl MultiStratumTally {
         }
     }
 
-    /// Adds every count of `other` into this tally — the round- and
-    /// shard-merge rule.
+    /// Adds every count of `other` into this tally.
     pub fn merge(&mut self, other: &MultiStratumTally) {
         self.pairs.merge(&other.pairs);
         self.runs += other.runs;
@@ -376,108 +380,171 @@ impl MultiCampaignOutcome {
     }
 }
 
-/// One planned multi campaign round: the jobs to execute plus the
-/// bookkeeping [`MultiCampaignStepper::complete_round`] needs. Jobs may
-/// be partitioned or sharded arbitrarily — outcomes must simply come
-/// back in job order.
+/// The k-aircraft campaign family: [`MultiJob`]s sampled from the
+/// density × geometry [`MultiEncounterModel`], tallied per aircraft pair
+/// into [`MultiStratumTally`]s — the [`Family`] behind
+/// [`MultiCampaignStepper`].
 #[derive(Debug, Clone)]
-pub struct MultiPlannedRound {
-    /// The round these jobs belong to (0 = pilot).
-    pub round: usize,
-    /// Encounters allocated to each stratum (canonical order).
-    pub allocated: Vec<usize>,
-    /// The jobs, grouped by stratum in allocation order.
-    pub jobs: Vec<MultiJob>,
-    /// `owners[i]` is the stratum index that owns `jobs[i]`.
-    pub owners: Vec<usize>,
+pub struct Multi {
+    model: MultiEncounterModel,
+    mode: MultiMode,
+    strata: Vec<MultiStratum>,
+    weights: Vec<f64>,
 }
 
-fn estimate_multi(
-    model: &MultiEncounterModel,
-    strata: &[MultiStratum],
-    weights: &[f64],
-    tallies: &[MultiStratumTally],
-) -> MultiStratifiedEstimate {
-    let per_stratum: Vec<MultiStratumEstimate> = strata
-        .iter()
-        .zip(weights)
-        .zip(tallies)
-        .map(|((&stratum, &weight), t)| MultiStratumEstimate {
-            stratum,
-            weight,
-            runs: t.runs,
-            pair_samples: t.pair_samples(),
-            pairs: t.pairs,
-            equipped_nmac: RateEstimate::wilson(t.pairs.equipped_nmac(), t.pair_samples()),
-            unequipped_nmac: RateEstimate::wilson(t.pairs.unequipped_nmac(), t.pair_samples()),
-            disagreement: RateEstimate::wilson(t.pairs.disagree(), t.pair_samples()),
-            alert: RateEstimate::wilson(t.alerts, t.runs),
-            false_alert: RateEstimate::wilson(t.false_alerts, t.runs),
-        })
-        .collect();
-    let pair_cells = |pick: fn(&MultiStratumTally) -> usize| -> Vec<(f64, usize, usize)> {
-        weights
-            .iter()
-            .zip(tallies)
-            .map(|(&w, t)| (w, pick(t), t.pair_samples()))
-            .collect()
-    };
-    let run_cells = |pick: fn(&MultiStratumTally) -> usize| -> Vec<(f64, usize, usize)> {
-        weights
-            .iter()
-            .zip(tallies)
-            .map(|(&w, t)| (w, pick(t), t.runs))
-            .collect()
-    };
-    let tables: Vec<PairTable> = tallies.iter().map(|t| t.pairs).collect();
-    let equipped_nmac = WeightedRate::combine(&pair_cells(|t| t.pairs.equipped_nmac()));
-    let unequipped_nmac = WeightedRate::combine(&pair_cells(|t| t.pairs.unequipped_nmac()));
-    let covariance = paired_covariance(weights, &tables);
+impl Family for Multi {
+    type Job = MultiJob;
+    type Outcome = MultiPairedOutcome;
+    type Tally = MultiStratumTally;
+    type Estimate = MultiStratifiedEstimate;
+    type Summary = MultiRoundSummary;
+    type Report = MultiCampaignOutcome;
 
-    let densities = model
-        .densities
-        .iter()
-        .enumerate()
-        .map(|(di, &density)| {
-            let in_band: Vec<usize> = (0..strata.len())
-                .filter(|&si| strata[si].density_index == di)
-                .collect();
-            let band_weights: Vec<f64> = in_band.iter().map(|&si| weights[si]).collect();
-            let band_tables: Vec<PairTable> = in_band.iter().map(|&si| tallies[si].pairs).collect();
-            let band_cells = |pick: fn(&PairTable) -> usize| -> Vec<(f64, usize, usize)> {
-                band_weights
-                    .iter()
-                    .zip(&band_tables)
-                    .map(|(&w, t)| (w, pick(t), t.runs()))
-                    .collect()
-            };
-            let e = WeightedRate::combine(&band_cells(PairTable::equipped_nmac));
-            let u = WeightedRate::combine(&band_cells(PairTable::unequipped_nmac));
-            let cov = paired_covariance(&band_weights, &band_tables);
-            DensityEstimate {
-                density,
-                runs: in_band.iter().map(|&si| tallies[si].runs).sum(),
-                risk_ratio: RatioEstimate::paired(&e, &u, cov),
-                equipped_nmac: e,
-                unequipped_nmac: u,
-            }
-        })
-        .collect();
+    fn empty_tallies(&self) -> Vec<MultiStratumTally> {
+        vec![MultiStratumTally::default(); self.strata.len()]
+    }
 
-    MultiStratifiedEstimate {
-        total_runs: tallies.iter().map(|t| t.runs).sum(),
-        total_pair_samples: tallies.iter().map(MultiStratumTally::pair_samples).sum(),
-        covariance,
-        risk_ratio: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac, covariance),
-        risk_ratio_unpaired: RatioEstimate::from_rates(&equipped_nmac, &unequipped_nmac),
-        risk_ratio_jackknife: jackknife_ratio(weights, &tables),
-        disagreement: WeightedRate::combine(&pair_cells(|t| t.pairs.disagree())),
-        alert: WeightedRate::combine(&run_cells(|t| t.alerts)),
-        false_alert: WeightedRate::combine(&run_cells(|t| t.false_alerts)),
-        strata: per_stratum,
-        equipped_nmac,
-        unequipped_nmac,
-        densities,
+    fn scores(&mut self, tallies: &[MultiStratumTally], adaptive: bool) -> Vec<f64> {
+        if adaptive {
+            let tables: Vec<PairTable> = tallies.iter().map(|t| t.pairs).collect();
+            neyman_scores(&self.weights, &tables)
+        } else {
+            self.weights.clone()
+        }
+    }
+
+    fn job(&self, stratum: usize, rng: &mut StdRng, sim_seed: u64) -> MultiJob {
+        MultiJob {
+            params: self.model.sample_in(self.strata[stratum], rng),
+            seed: sim_seed,
+            mode: self.mode,
+        }
+    }
+
+    fn absorb(tally: &mut MultiStratumTally, _job: &MultiJob, outcome: &MultiPairedOutcome) {
+        tally.absorb(outcome);
+    }
+
+    fn runs(tally: &MultiStratumTally) -> usize {
+        tally.runs
+    }
+
+    fn estimate(&self, tallies: &[MultiStratumTally]) -> MultiStratifiedEstimate {
+        let (strata, weights) = (&self.strata, &self.weights);
+        let per_stratum: Vec<MultiStratumEstimate> = strata
+            .iter()
+            .zip(weights)
+            .zip(tallies)
+            .map(|((&stratum, &weight), t)| MultiStratumEstimate {
+                stratum,
+                weight,
+                runs: t.runs,
+                pair_samples: t.pair_samples(),
+                pairs: t.pairs,
+                equipped_nmac: RateEstimate::wilson(t.pairs.equipped_nmac(), t.pair_samples()),
+                unequipped_nmac: RateEstimate::wilson(t.pairs.unequipped_nmac(), t.pair_samples()),
+                disagreement: RateEstimate::wilson(t.pairs.disagree(), t.pair_samples()),
+                alert: RateEstimate::wilson(t.alerts, t.runs),
+                false_alert: RateEstimate::wilson(t.false_alerts, t.runs),
+            })
+            .collect();
+        let pair_cells = |pick: fn(&MultiStratumTally) -> usize| -> Vec<(f64, usize, usize)> {
+            weights
+                .iter()
+                .zip(tallies)
+                .map(|(&w, t)| (w, pick(t), t.pair_samples()))
+                .collect()
+        };
+        let run_cells = |pick: fn(&MultiStratumTally) -> usize| -> Vec<(f64, usize, usize)> {
+            weights
+                .iter()
+                .zip(tallies)
+                .map(|(&w, t)| (w, pick(t), t.runs))
+                .collect()
+        };
+        let tables: Vec<PairTable> = tallies.iter().map(|t| t.pairs).collect();
+        let equipped_nmac = WeightedRate::combine(&pair_cells(|t| t.pairs.equipped_nmac()));
+        let unequipped_nmac = WeightedRate::combine(&pair_cells(|t| t.pairs.unequipped_nmac()));
+        let covariance = paired_covariance(weights, &tables);
+
+        let densities = self
+            .model
+            .densities
+            .iter()
+            .enumerate()
+            .map(|(di, &density)| {
+                let in_band: Vec<usize> = (0..strata.len())
+                    .filter(|&si| strata[si].density_index == di)
+                    .collect();
+                let band_weights: Vec<f64> = in_band.iter().map(|&si| weights[si]).collect();
+                let band_tables: Vec<PairTable> =
+                    in_band.iter().map(|&si| tallies[si].pairs).collect();
+                let band_cells = |pick: fn(&PairTable) -> usize| -> Vec<(f64, usize, usize)> {
+                    band_weights
+                        .iter()
+                        .zip(&band_tables)
+                        .map(|(&w, t)| (w, pick(t), t.runs()))
+                        .collect()
+                };
+                let e = WeightedRate::combine(&band_cells(PairTable::equipped_nmac));
+                let u = WeightedRate::combine(&band_cells(PairTable::unequipped_nmac));
+                let cov = paired_covariance(&band_weights, &band_tables);
+                DensityEstimate {
+                    density,
+                    runs: in_band.iter().map(|&si| tallies[si].runs).sum(),
+                    risk_ratio: RatioEstimate::paired(&e, &u, cov),
+                    equipped_nmac: e,
+                    unequipped_nmac: u,
+                }
+            })
+            .collect();
+
+        MultiStratifiedEstimate {
+            total_runs: tallies.iter().map(|t| t.runs).sum(),
+            total_pair_samples: tallies.iter().map(MultiStratumTally::pair_samples).sum(),
+            covariance,
+            risk_ratio: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac, covariance),
+            risk_ratio_unpaired: RatioEstimate::from_rates(&equipped_nmac, &unequipped_nmac),
+            risk_ratio_jackknife: jackknife_ratio(weights, &tables),
+            disagreement: WeightedRate::combine(&pair_cells(|t| t.pairs.disagree())),
+            alert: WeightedRate::combine(&run_cells(|t| t.alerts)),
+            false_alert: WeightedRate::combine(&run_cells(|t| t.false_alerts)),
+            strata: per_stratum,
+            equipped_nmac,
+            unequipped_nmac,
+            densities,
+        }
+    }
+
+    fn risk_ratio(estimate: &MultiStratifiedEstimate) -> &RatioEstimate {
+        &estimate.risk_ratio
+    }
+
+    fn summarize(
+        planned: &PlannedRound<MultiJob>,
+        estimate: &MultiStratifiedEstimate,
+    ) -> MultiRoundSummary {
+        MultiRoundSummary {
+            round: planned.round,
+            allocated: planned.allocated.clone(),
+            runs_this_round: planned.jobs.len(),
+            total_runs: estimate.total_runs,
+            equipped_nmac: estimate.equipped_nmac,
+            unequipped_nmac: estimate.unequipped_nmac,
+            risk_ratio: estimate.risk_ratio,
+        }
+    }
+
+    fn report(
+        estimate: MultiStratifiedEstimate,
+        rounds: Vec<MultiRoundSummary>,
+        reached_target: bool,
+    ) -> MultiCampaignOutcome {
+        MultiCampaignOutcome {
+            estimate,
+            rounds,
+            reached_target,
+        }
     }
 }
 
@@ -538,10 +605,6 @@ impl MultiCampaignPlanner {
         self.mode
     }
 
-    fn batch(&self) -> BatchRunner {
-        BatchRunner::new(self.runner.clone(), Executor::new(self.config.threads))
-    }
-
     /// Runs the adaptive campaign on the shared worker pool.
     ///
     /// # Errors
@@ -549,7 +612,8 @@ impl MultiCampaignPlanner {
     /// Returns [`CampaignConfigError`] when the configuration is
     /// degenerate; no simulation runs in that case.
     pub fn run(&self) -> Result<MultiCampaignOutcome, CampaignConfigError> {
-        self.run_with(&self.batch())
+        let batch = BatchRunner::new(self.runner.clone(), Executor::new(self.config.threads));
+        self.run_with(&batch)
     }
 
     /// Runs the adaptive campaign against a caller-supplied job source
@@ -586,12 +650,22 @@ impl MultiCampaignPlanner {
         source: &S,
         adaptive: bool,
     ) -> Result<MultiCampaignOutcome, CampaignConfigError> {
-        let mut stepper = MultiCampaignStepper::fresh(self, adaptive)?;
-        while let Some(planned) = stepper.plan_round() {
-            let outcomes = source.run_multis(&planned.jobs);
-            stepper.complete_round(&planned, &outcomes);
-        }
-        Ok(stepper.outcome())
+        Ok(self
+            .stepper_with(adaptive)?
+            .drive(|jobs| source.run_multis(jobs), |_| {}))
+    }
+
+    fn stepper_with(&self, adaptive: bool) -> Result<MultiCampaignStepper, CampaignConfigError> {
+        self.config.validate()?;
+        let strata = self.model.strata();
+        let weights = strata.iter().map(|&s| self.model.weight(s)).collect();
+        let family = Multi {
+            model: self.model.clone(),
+            mode: self.mode,
+            strata,
+            weights,
+        };
+        Ok(RoundStepper::new(family, self.config.schedule(), adaptive))
     }
 
     /// A fresh adaptive (Neyman-allocated) stepper for this planner —
@@ -603,187 +677,19 @@ impl MultiCampaignPlanner {
     /// Returns [`CampaignConfigError`] when the configuration is
     /// degenerate.
     pub fn stepper(&self) -> Result<MultiCampaignStepper, CampaignConfigError> {
-        MultiCampaignStepper::fresh(self, true)
+        self.stepper_with(true)
     }
 }
 
-/// A round-by-round multi campaign executor — the engine under every
-/// [`MultiCampaignPlanner`] run path, exposed so coordinators can
-/// interleave campaigns over one fleet. The cycle is
-/// [`plan_round`](Self::plan_round) → run the jobs on any
-/// [`MultiSource`] → [`complete_round`](Self::complete_round), repeated
-/// until `plan_round` returns `None`. Planning is a pure function of
-/// (config, tallies), so any driving schedule produces a byte-identical
-/// [`MultiCampaignOutcome`].
-#[derive(Debug, Clone)]
-pub struct MultiCampaignStepper {
-    model: MultiEncounterModel,
-    config: CampaignConfig,
-    mode: MultiMode,
-    adaptive: bool,
-    strata: Vec<MultiStratum>,
-    weights: Vec<f64>,
-    tallies: Vec<MultiStratumTally>,
-    rounds: Vec<MultiRoundSummary>,
-    reached_target: bool,
-    next_round: usize,
-}
-
-impl MultiCampaignStepper {
-    fn fresh(planner: &MultiCampaignPlanner, adaptive: bool) -> Result<Self, CampaignConfigError> {
-        planner.config.validate()?;
-        let strata = planner.model.strata();
-        let weights: Vec<f64> = strata.iter().map(|&s| planner.model.weight(s)).collect();
-        let tallies = vec![MultiStratumTally::default(); strata.len()];
-        Ok(Self {
-            model: planner.model.clone(),
-            config: planner.config,
-            mode: planner.mode,
-            adaptive,
-            strata,
-            weights,
-            tallies,
-            rounds: Vec::new(),
-            reached_target: false,
-            next_round: 0,
-        })
-    }
-
-    /// Whether the campaign is over ([`plan_round`](Self::plan_round)
-    /// returns `None`).
-    pub fn is_finished(&self) -> bool {
-        self.reached_target || self.next_round > self.config.max_rounds
-    }
-
-    /// The next round to execute (0 = pilot).
-    pub fn next_round(&self) -> usize {
-        self.next_round
-    }
-
-    /// Summaries of the rounds completed so far, in order.
-    pub fn rounds(&self) -> &[MultiRoundSummary] {
-        &self.rounds
-    }
-
-    /// Total encounters absorbed so far.
-    pub fn total_runs(&self) -> usize {
-        self.tallies.iter().map(|t| t.runs).sum()
-    }
-
-    /// Plans the next round's jobs, or `None` when the campaign is
-    /// finished. Planning commits nothing: dropping the planned round
-    /// and calling again replays the identical plan, because jobs derive
-    /// from `(campaign_seed, stratum, round, index)` and the allocation
-    /// from the merged tallies — never from wall-clock state.
-    pub fn plan_round(&mut self) -> Option<MultiPlannedRound> {
-        if self.is_finished() {
-            return None;
-        }
-        let round = self.next_round;
-        let alloc = if round == 0 {
-            vec![self.config.pilot_per_stratum; self.strata.len()]
-        } else if self.adaptive {
-            let tables: Vec<PairTable> = self.tallies.iter().map(|t| t.pairs).collect();
-            apportion(
-                &neyman_scores(&self.weights, &tables),
-                self.config.round_runs,
-            )
-        } else {
-            apportion(&self.weights, self.config.round_runs)
-        };
-
-        let runs_this_round: usize = alloc.iter().sum();
-        let mut jobs = Vec::with_capacity(runs_this_round);
-        let mut owners = Vec::with_capacity(runs_this_round);
-        for (si, &count) in alloc.iter().enumerate() {
-            for index in 0..count {
-                let base = campaign_job_seed(self.config.seed, si, round, index);
-                let mut rng = StdRng::seed_from_u64(base);
-                let params = self.model.sample_in(self.strata[si], &mut rng);
-                jobs.push(MultiJob {
-                    params,
-                    seed: splitmix64(base ^ SIM_STREAM),
-                    mode: self.mode,
-                });
-                owners.push(si);
-            }
-        }
-        Some(MultiPlannedRound {
-            round,
-            allocated: alloc,
-            jobs,
-            owners,
-        })
-    }
-
-    /// Absorbs a planned round's outcomes (in job order) and advances to
-    /// the next round, returning the round's summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `planned` is not the stepper's current round or the
-    /// outcome count does not match the job count — caller bugs that
-    /// would silently corrupt the campaign state if tolerated.
-    pub fn complete_round(
-        &mut self,
-        planned: &MultiPlannedRound,
-        outcomes: &[MultiPairedOutcome],
-    ) -> MultiRoundSummary {
-        assert_eq!(
-            planned.round, self.next_round,
-            "complete_round fed a stale plan: round {} but the stepper is at round {}",
-            planned.round, self.next_round
-        );
-        assert_eq!(
-            outcomes.len(),
-            planned.jobs.len(),
-            "a MultiSource must return exactly one outcome per job"
-        );
-        // Absorb into fresh per-stratum tallies, then fold into the
-        // campaign totals through the one merge rule — the same
-        // partition-independent accumulation path sharded backends use.
-        let mut round_tallies = vec![MultiStratumTally::default(); self.strata.len()];
-        for (&si, outcome) in planned.owners.iter().zip(outcomes) {
-            round_tallies[si].absorb(outcome);
-        }
-        for (total, fresh) in self.tallies.iter_mut().zip(&round_tallies) {
-            total.merge(fresh);
-        }
-
-        let estimate = estimate_multi(&self.model, &self.strata, &self.weights, &self.tallies);
-        let summary = MultiRoundSummary {
-            round: planned.round,
-            allocated: planned.allocated.clone(),
-            runs_this_round: planned.jobs.len(),
-            total_runs: estimate.total_runs,
-            equipped_nmac: estimate.equipped_nmac,
-            unequipped_nmac: estimate.unequipped_nmac,
-            risk_ratio: estimate.risk_ratio,
-        };
-        self.rounds.push(summary.clone());
-        if self.config.target_half_width.is_finite()
-            && estimate.risk_ratio.half_width() <= self.config.target_half_width
-        {
-            self.reached_target = true;
-        }
-        self.next_round += 1;
-        summary
-    }
-
-    /// The outcome as of the rounds completed so far (the final outcome
-    /// once [`is_finished`](Self::is_finished)).
-    pub fn outcome(&self) -> MultiCampaignOutcome {
-        MultiCampaignOutcome {
-            estimate: estimate_multi(&self.model, &self.strata, &self.weights, &self.tallies),
-            rounds: self.rounds.clone(),
-            reached_target: self.reached_target,
-        }
-    }
-}
+/// The round-by-round k-aircraft campaign executor: the shared
+/// [`RoundStepper`] over the [`Multi`] family.
+pub type MultiCampaignStepper = RoundStepper<Multi>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::splitmix64;
+    use rand::SeedableRng;
     use uavca_sim::{pairs, PairOutcome};
 
     /// A deterministic fake source with rigged per-pair joint rates: the
@@ -887,7 +793,7 @@ mod tests {
         assert_eq!(a.outcome(), b.outcome());
     }
 
-    fn panic_on_mismatch(a: &MultiPlannedRound, b: &MultiPlannedRound) {
+    fn panic_on_mismatch(a: &PlannedRound<MultiJob>, b: &PlannedRound<MultiJob>) {
         assert_eq!(a.round, b.round);
         assert_eq!(a.allocated, b.allocated);
         assert_eq!(a.jobs, b.jobs);
@@ -913,7 +819,7 @@ mod tests {
     fn uniform_and_adaptive_share_the_pilot_round_plan() {
         let p = planner();
         let mut adaptive = p.stepper().unwrap();
-        let mut uniform = MultiCampaignStepper::fresh(&p, false).unwrap();
+        let mut uniform = p.stepper_with(false).unwrap();
         let ra = adaptive.plan_round().unwrap();
         let ru = uniform.plan_round().unwrap();
         panic_on_mismatch(&ra, &ru);

@@ -61,16 +61,14 @@
 //! battery).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::{EncounterParams, StatisticalEncounterModel, Stratification, Stratum};
 use uavca_exec::{Backend, Executor};
 use uavca_sim::{EncounterOutcome, NMAC_HORIZONTAL_FT};
 
-use crate::campaign::{
-    apportion, campaign_job_seed, splitmix64, RatioEstimate, WeightedRate, SIM_STREAM, Z95,
-};
+use crate::campaign::{RatioEstimate, WeightedRate, Z95};
 use crate::montecarlo::{finite_or_null, float_or};
+use crate::rounds::{Family, PlannedRound, ResumeError, RoundStepper, Schedule};
 use crate::{BatchRunner, EncounterRunner, RateEstimate};
 
 /// One multilevel-splitting root: an encounter, its root simulation
@@ -240,6 +238,17 @@ impl Deserialize for SplitConfig {
 }
 
 impl SplitConfig {
+    /// The round schedule this configuration fixes.
+    pub(crate) fn schedule(&self) -> Schedule {
+        Schedule {
+            seed: self.seed,
+            pilot: self.pilot_roots_per_stratum,
+            round_budget: self.round_roots,
+            max_rounds: self.max_rounds,
+            target_half_width: self.target_half_width,
+        }
+    }
+
     /// Rejects degenerate configurations (see [`SplitConfigError`]).
     ///
     /// # Errors
@@ -392,10 +401,30 @@ impl SplitTally {
         self.unequipped_steps += outcome.unequipped_steps;
     }
 
-    /// Branching rungs of this stratum's ladder (stages minus the
-    /// terminal run-to-NMAC stage).
-    pub fn rungs(&self) -> usize {
-        self.level_trials.len() - 1
+    /// Roots absorbed, or `None` when no run could have produced the
+    /// tally. This is how a checkpoint that crossed a trust boundary is
+    /// vetted before resuming. The moment sums must be finite and
+    /// non-negative, and those of the per-root estimates `R_i ∈ [0, 1]`
+    /// at most the root count. Unequipped NMACs are at most the root
+    /// count. The level counts must fit the branch tree: every root
+    /// enters stage 0 once, a stage's crossings never exceed its trials,
+    /// and each crossing fans out into at most `fan_cap` next-stage
+    /// trials.
+    pub(crate) fn checked_roots(&self, fan_cap: usize) -> Option<usize> {
+        let n = self.roots as f64;
+        let per_root = [self.sum_weight, self.sum_weight_sq, self.sum_cross];
+        let controls = [self.sum_x, self.sum_xx, self.sum_xy];
+        let moments_ok = per_root.iter().all(|&m| (0.0..=n).contains(&m))
+            && controls.iter().all(|&m| m.is_finite() && m >= 0.0);
+        let trials = &self.level_trials;
+        let crossings = &self.level_crossings;
+        let tree_ok = trials.first() == Some(&(self.roots as u64))
+            && trials.iter().zip(crossings).all(|(t, c)| c <= t)
+            && crossings.iter().zip(&trials[1..]).all(|(&c, &next)| {
+                c.checked_mul(fan_cap as u64)
+                    .is_some_and(|most| next <= most)
+            });
+        (moments_ok && tree_ok && self.unequipped_nmacs <= self.roots).then_some(self.roots)
     }
 
     /// The moment summaries both the estimator and the Neyman scores
@@ -627,6 +656,181 @@ impl SplitCampaignOutcome {
     }
 }
 
+/// The multilevel-splitting campaign family: [`SplitJob`] roots that
+/// branch along each stratum's severity ladder, tallied into
+/// [`SplitTally`]s — the [`Family`] behind [`SplitStepper`].
+#[derive(Debug, Clone)]
+pub struct Splitting {
+    model: StatisticalEncounterModel,
+    stratification: Stratification,
+    max_branch: usize,
+    strata: Vec<Stratum>,
+    weights: Vec<f64>,
+    bands: Vec<(f64, f64)>,
+    ladders: Vec<Vec<f64>>,
+    /// The branch schedule in force per stratum: the cold-start fan 2
+    /// until the first refinement round is planned, then recomputed from
+    /// the tallies whenever a round is.
+    schedules: Vec<Vec<usize>>,
+}
+
+impl Family for Splitting {
+    type Job = SplitJob;
+    type Outcome = SplitOutcome;
+    type Tally = SplitTally;
+    type Estimate = SplitEstimate;
+    type Summary = SplitRoundSummary;
+    type Report = SplitCampaignOutcome;
+
+    fn empty_tallies(&self) -> Vec<SplitTally> {
+        self.ladders
+            .iter()
+            .map(|l| SplitTally::new(l.len()))
+            .collect()
+    }
+
+    fn scores(&mut self, tallies: &[SplitTally], adaptive: bool) -> Vec<f64> {
+        // Branch factors and root allocation both derive purely from
+        // tallies absorbed in previous rounds.
+        self.schedules = tallies
+            .iter()
+            .zip(&self.ladders)
+            .map(|(t, ladder)| {
+                let rungs = ladder.len();
+                branch_schedule(
+                    &t.level_trials[..rungs],
+                    &t.level_crossings[..rungs],
+                    self.max_branch,
+                )
+            })
+            .collect();
+        if adaptive {
+            split_neyman_scores(&self.weights, tallies, &self.bands)
+        } else {
+            self.weights.clone()
+        }
+    }
+
+    fn job(&self, stratum: usize, rng: &mut StdRng, sim_seed: u64) -> SplitJob {
+        SplitJob {
+            params: self
+                .stratification
+                .sample(&self.model, self.strata[stratum], rng),
+            seed: sim_seed,
+            levels: self.ladders[stratum].clone(),
+            branches: self.schedules[stratum].clone(),
+        }
+    }
+
+    fn absorb(tally: &mut SplitTally, job: &SplitJob, outcome: &SplitOutcome) {
+        tally.absorb(job.params.cpa_horizontal_ft, outcome);
+    }
+
+    fn runs(tally: &SplitTally) -> usize {
+        tally.roots
+    }
+
+    fn estimate(&self, tallies: &[SplitTally]) -> SplitEstimate {
+        let weights = &self.weights;
+        let stats: Vec<SplitStats> = tallies
+            .iter()
+            .zip(&self.bands)
+            .map(|(t, &band)| t.stats(band))
+            .collect();
+        let per_stratum: Vec<SplitStratumEstimate> = self
+            .strata
+            .iter()
+            .zip(weights)
+            .zip(tallies)
+            .zip(&stats)
+            .enumerate()
+            .map(|(si, (((&stratum, &weight), t), s))| SplitStratumEstimate {
+                stratum,
+                weight,
+                roots: t.roots,
+                levels: self.ladders[si].clone(),
+                branches: self.schedules[si].clone(),
+                level_trials: t.level_trials.clone(),
+                level_crossings: t.level_crossings.clone(),
+                equipped_mean: s.mean_e,
+                equipped_std_err: s.var_of_mean_e.sqrt(),
+                unequipped: RateEstimate::wilson(t.unequipped_nmacs, t.roots),
+                cv_beta: s.beta,
+                unequipped_cv_rate: s.rate_u_cv,
+                unequipped_cv_std_err: s.var_of_mean_u.sqrt(),
+            })
+            .collect();
+        let equipped_nmac = combine_means(
+            weights
+                .iter()
+                .zip(tallies)
+                .zip(&stats)
+                .map(|((&w, t), s)| (w, t.roots, s.mean_e, s.var_of_mean_e)),
+        );
+        let unequipped_nmac = combine_means(
+            weights
+                .iter()
+                .zip(tallies)
+                .zip(&stats)
+                .map(|((&w, t), s)| (w, t.roots, s.rate_u_cv, s.var_of_mean_u)),
+        );
+        let raw_cells: Vec<(f64, usize, usize)> = weights
+            .iter()
+            .zip(tallies)
+            .map(|(&w, t)| (w, t.unequipped_nmacs, t.roots))
+            .collect();
+        let unequipped_nmac_raw = WeightedRate::combine(&raw_cells);
+        let covariance = combined_covariance(
+            weights
+                .iter()
+                .zip(tallies)
+                .zip(&stats)
+                .map(|((&w, t), s)| (w, t.roots, s.cov)),
+        );
+        SplitEstimate {
+            total_roots: tallies.iter().map(|t| t.roots).sum(),
+            equipped_steps: tallies.iter().map(|t| t.equipped_steps).sum(),
+            unequipped_steps: tallies.iter().map(|t| t.unequipped_steps).sum(),
+            covariance,
+            risk_ratio: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac, covariance),
+            risk_ratio_raw: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac_raw, covariance),
+            strata: per_stratum,
+            equipped_nmac,
+            unequipped_nmac,
+            unequipped_nmac_raw,
+        }
+    }
+
+    fn risk_ratio(estimate: &SplitEstimate) -> &RatioEstimate {
+        &estimate.risk_ratio
+    }
+
+    fn summarize(planned: &PlannedRound<SplitJob>, estimate: &SplitEstimate) -> SplitRoundSummary {
+        SplitRoundSummary {
+            round: planned.round,
+            allocated: planned.allocated.clone(),
+            roots_this_round: planned.jobs.len(),
+            total_roots: estimate.total_roots,
+            total_steps: estimate.total_steps(),
+            equipped_nmac: estimate.equipped_nmac,
+            unequipped_nmac: estimate.unequipped_nmac,
+            risk_ratio: estimate.risk_ratio,
+        }
+    }
+
+    fn report(
+        estimate: SplitEstimate,
+        rounds: Vec<SplitRoundSummary>,
+        reached_target: bool,
+    ) -> SplitCampaignOutcome {
+        SplitCampaignOutcome {
+            estimate,
+            rounds,
+            reached_target,
+        }
+    }
+}
+
 /// Plans and executes multilevel-splitting campaigns: the rare-event
 /// counterpart of [`crate::CampaignPlanner`], sharing its seed rules,
 /// stratification, Neyman-style reallocation and paired-ratio estimate.
@@ -746,94 +950,109 @@ impl SplitPlanner {
     pub fn run_with_observed<S: SplitSource, F: FnMut(&SplitRoundSummary)>(
         &self,
         source: &S,
-        mut observer: F,
+        observer: F,
     ) -> Result<SplitCampaignOutcome, SplitConfigError> {
-        // The monolithic run is the stepper driven to completion, so the
-        // blocking and checkpointable paths share every line of planning,
-        // absorption and estimation code.
-        let mut stepper = SplitStepper::fresh(self)?;
-        while let Some(planned) = stepper.plan_round() {
-            let outcomes = source.run_splits(&planned.jobs);
-            let summary = stepper.complete_round(&planned, &outcomes);
-            observer(&summary);
-        }
-        Ok(stepper.outcome())
+        Ok(self
+            .stepper()?
+            .drive(|jobs| source.run_splits(jobs), observer))
     }
-}
 
-fn split_estimate_from(
-    strata: &[Stratum],
-    weights: &[f64],
-    bands: &[(f64, f64)],
-    ladders: &[Vec<f64>],
-    schedules: &[Vec<usize>],
-    tallies: &[SplitTally],
-) -> SplitEstimate {
-    let stats: Vec<SplitStats> = tallies
-        .iter()
-        .zip(bands)
-        .map(|(t, &band)| t.stats(band))
-        .collect();
-    let per_stratum: Vec<SplitStratumEstimate> = strata
-        .iter()
-        .zip(weights)
-        .zip(tallies)
-        .zip(&stats)
-        .enumerate()
-        .map(|(si, (((&stratum, &weight), t), s))| SplitStratumEstimate {
-            stratum,
-            weight,
-            roots: t.roots,
-            levels: ladders[si].clone(),
-            branches: schedules[si].clone(),
-            level_trials: t.level_trials.clone(),
-            level_crossings: t.level_crossings.clone(),
-            equipped_mean: s.mean_e,
-            equipped_std_err: s.var_of_mean_e.sqrt(),
-            unequipped: RateEstimate::wilson(t.unequipped_nmacs, t.roots),
-            cv_beta: s.beta,
-            unequipped_cv_rate: s.rate_u_cv,
-            unequipped_cv_std_err: s.var_of_mean_u.sqrt(),
-        })
-        .collect();
-    let equipped_nmac = combine_means(
-        weights
+    /// A fresh stepper for this planner — the resumable equivalent of
+    /// [`SplitPlanner::run`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SplitConfigError`] when the configuration is degenerate
+    /// (same validation as every run path).
+    pub fn stepper(&self) -> Result<SplitStepper, SplitConfigError> {
+        self.config.validate()?;
+        let strata = self.stratification.strata();
+        let weights = strata
             .iter()
-            .zip(tallies)
-            .zip(&stats)
-            .map(|((&w, t), s)| (w, t.roots, s.mean_e, s.var_of_mean_e)),
-    );
-    let unequipped_nmac = combine_means(
-        weights
+            .map(|&s| self.stratification.weight(&self.model, s))
+            .collect();
+        let bands = strata
             .iter()
-            .zip(tallies)
-            .zip(&stats)
-            .map(|((&w, t), s)| (w, t.roots, s.rate_u_cv, s.var_of_mean_u)),
-    );
-    let raw_cells: Vec<(f64, usize, usize)> = weights
-        .iter()
-        .zip(tallies)
-        .map(|(&w, t)| (w, t.unequipped_nmacs, t.roots))
-        .collect();
-    let unequipped_nmac_raw = WeightedRate::combine(&raw_cells);
-    let covariance = combined_covariance(
-        weights
+            .map(|s| self.stratification.cpa_bounds(&self.model, s.cpa_bin))
+            .collect();
+        let ladders = self.ladders();
+        // Cold-start fan 2 everywhere — exactly what branch_schedule
+        // returns on empty tallies, so round 0 follows the same rule.
+        let schedules = ladders.iter().map(|l| vec![2; l.len()]).collect();
+        let family = Splitting {
+            model: self.model,
+            stratification: self.stratification,
+            max_branch: self.config.max_branch,
+            strata,
+            weights,
+            bands,
+            ladders,
+            schedules,
+        };
+        Ok(RoundStepper::new(family, self.config.schedule(), true))
+    }
+
+    /// Rebuilds a stepper from a [`SplitCheckpoint`]. The resumed stepper
+    /// replays the remaining rounds byte-identically to an uninterrupted
+    /// run of the same planner.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SplitResumeError`] when the planner's config is
+    /// degenerate, the checkpoint was taken under a different
+    /// stratification or ladder design, or its trail or tallies are
+    /// inconsistent.
+    pub fn resume(&self, checkpoint: &SplitCheckpoint) -> Result<SplitStepper, SplitResumeError> {
+        let mut stepper = self.stepper()?;
+        let ladders = &stepper.family.ladders;
+        if checkpoint.schedules.len() != ladders.len() {
+            return Err(SplitResumeError::StratumCountMismatch {
+                expected: ladders.len(),
+                found: checkpoint.schedules.len(),
+            });
+        }
+        // A schedule holds one entry per rung, a level vector one more
+        // (the terminal run-to-NMAC stage).
+        let recorded = ladders
             .iter()
-            .zip(tallies)
-            .zip(&stats)
-            .map(|((&w, t), s)| (w, t.roots, s.cov)),
-    );
-    SplitEstimate {
-        total_roots: tallies.iter().map(|t| t.roots).sum(),
-        equipped_steps: tallies.iter().map(|t| t.equipped_steps).sum(),
-        unequipped_steps: tallies.iter().map(|t| t.unequipped_steps).sum(),
-        covariance,
-        risk_ratio: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac, covariance),
-        risk_ratio_raw: RatioEstimate::paired(&equipped_nmac, &unequipped_nmac_raw, covariance),
-        strata: per_stratum,
-        equipped_nmac,
-        unequipped_nmac,
-        unequipped_nmac_raw,
+            .zip(&checkpoint.schedules)
+            .zip(&checkpoint.tallies);
+        for (stratum, ((ladder, schedule), tally)) in recorded.enumerate() {
+            let rungs = ladder.len();
+            for (found, expected) in [
+                (schedule.len(), rungs),
+                (tally.level_trials.len(), rungs + 1),
+                (tally.level_crossings.len(), rungs + 1),
+            ] {
+                if found != expected {
+                    return Err(SplitResumeError::LadderMismatch {
+                        stratum,
+                        expected,
+                        found,
+                    });
+                }
+            }
+        }
+        stepper.family.schedules = checkpoint.schedules.clone();
+        let last = checkpoint.rounds.last();
+        // The cold-start schedule fans out 2 whatever `max_branch` is.
+        let fan_cap = self.config.max_branch.max(2);
+        let stepper = stepper.restore(
+            &checkpoint.tallies,
+            &checkpoint.rounds,
+            checkpoint.next_round,
+            checkpoint.reached_target,
+            last.map_or(0, |r| r.total_roots),
+            |t| t.checked_roots(fan_cap),
+        )?;
+        let steps = checkpoint.tallies.iter().try_fold(0u64, |sum, t| {
+            sum.checked_add(t.equipped_steps)?
+                .checked_add(t.unequipped_steps)
+        });
+        if steps != Some(last.map_or(0, |r| r.total_steps)) {
+            return Err(SplitResumeError::InvalidTally { stratum: None });
+        }
+        Ok(stepper)
     }
 }
 
@@ -846,7 +1065,7 @@ fn split_estimate_from(
 /// its *last executed* round, which were derived from the tallies as they
 /// stood **before** that round's outcomes were absorbed and cannot be
 /// recovered from the final tallies alone. Carrying them keeps
-/// [`SplitStepper::outcome`] byte-identical through a
+/// [`SplitStepper`]'s outcome byte-identical through a
 /// checkpoint/restore of a finished campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SplitCheckpoint {
@@ -866,364 +1085,24 @@ pub struct SplitCheckpoint {
 
 /// A [`SplitCheckpoint`] that cannot resume under the planner it was
 /// handed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitResumeError {
-    /// The planner's own configuration is degenerate.
-    Config(SplitConfigError),
-    /// The checkpoint's tally count does not match the planner's
-    /// stratification.
-    StratumCountMismatch {
-        /// Strata in the planner's stratification.
-        expected: usize,
-        /// Tallies recorded in the checkpoint.
-        found: usize,
-    },
-    /// A stratum's recorded ladder length disagrees with the planner's.
-    LadderMismatch {
-        /// The offending stratum index.
-        stratum: usize,
-        /// Branching rungs the planner's ladder has.
-        expected: usize,
-        /// Rungs the checkpoint recorded.
-        found: usize,
-    },
-    /// `next_round` disagrees with the recorded round trail.
-    InconsistentTrail {
-        /// The checkpoint's claimed next round.
-        next_round: usize,
-        /// Round summaries actually recorded.
-        rounds: usize,
-    },
-}
+pub type SplitResumeError = ResumeError<SplitConfigError>;
 
-impl From<SplitConfigError> for SplitResumeError {
-    fn from(e: SplitConfigError) -> Self {
-        SplitResumeError::Config(e)
-    }
-}
-
-impl std::fmt::Display for SplitResumeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SplitResumeError::Config(e) => write!(f, "split config: {e}"),
-            SplitResumeError::StratumCountMismatch { expected, found } => write!(
-                f,
-                "split checkpoint: {found} tallies but the stratification has \
-                 {expected} strata — checkpoint taken under a different design"
-            ),
-            SplitResumeError::LadderMismatch {
-                stratum,
-                expected,
-                found,
-            } => write!(
-                f,
-                "split checkpoint: stratum {stratum} recorded {found} ladder \
-                 rungs but the planner's ladder has {expected}"
-            ),
-            SplitResumeError::InconsistentTrail { next_round, rounds } => write!(
-                f,
-                "split checkpoint: next_round {next_round} disagrees with \
-                 {rounds} recorded round summaries"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SplitResumeError {}
-
-/// One planned splitting round: the root jobs to execute plus the
-/// bookkeeping [`SplitStepper::complete_round`] needs to absorb their
-/// outcomes in job order.
-#[derive(Debug, Clone)]
-pub struct PlannedSplitRound {
-    /// The round these jobs belong to (0 = pilot).
-    pub round: usize,
-    /// Roots allocated to each stratum (canonical order).
-    pub allocated: Vec<usize>,
-    /// The root jobs, grouped by stratum in allocation order.
-    pub jobs: Vec<SplitJob>,
-    /// `owners[i]` is the stratum index that owns `jobs[i]`.
-    pub owners: Vec<usize>,
-}
-
-/// A resumable round-by-round splitting-campaign executor — the engine
-/// under every [`SplitPlanner`] run path, mirroring
-/// [`crate::CampaignStepper`] for the rare-event workload: plan a round,
-/// run its jobs on any [`SplitSource`], complete the round; checkpoint at
-/// any round boundary and resume byte-identically later.
-#[derive(Debug, Clone)]
-pub struct SplitStepper {
-    model: StatisticalEncounterModel,
-    stratification: Stratification,
-    config: SplitConfig,
-    strata: Vec<Stratum>,
-    weights: Vec<f64>,
-    bands: Vec<(f64, f64)>,
-    ladders: Vec<Vec<f64>>,
-    tallies: Vec<SplitTally>,
-    schedules: Vec<Vec<usize>>,
-    rounds: Vec<SplitRoundSummary>,
-    reached_target: bool,
-    next_round: usize,
-}
+/// The resumable round-by-round splitting-campaign executor: the shared
+/// [`RoundStepper`] over the [`Splitting`] family, whose checkpoint
+/// [`SplitPlanner::resume`] replays byte-identically.
+pub type SplitStepper = RoundStepper<Splitting>;
 
 impl SplitStepper {
-    fn fresh(planner: &SplitPlanner) -> Result<Self, SplitConfigError> {
-        planner.config.validate()?;
-        let strata = planner.stratification.strata();
-        let weights: Vec<f64> = strata
-            .iter()
-            .map(|&s| planner.stratification.weight(&planner.model, s))
-            .collect();
-        let bands: Vec<(f64, f64)> = strata
-            .iter()
-            .map(|s| planner.stratification.cpa_bounds(&planner.model, s.cpa_bin))
-            .collect();
-        let ladders = planner.ladders();
-        let tallies: Vec<SplitTally> = ladders.iter().map(|l| SplitTally::new(l.len())).collect();
-        // Cold-start fan 2 everywhere — exactly what branch_schedule
-        // returns on empty tallies, so round 0 follows the same rule.
-        let schedules: Vec<Vec<usize>> = ladders.iter().map(|l| vec![2; l.len()]).collect();
-        Ok(Self {
-            model: planner.model,
-            stratification: planner.stratification,
-            config: planner.config,
-            strata,
-            weights,
-            bands,
-            ladders,
-            tallies,
-            schedules,
-            rounds: Vec::new(),
-            reached_target: false,
-            next_round: 0,
-        })
-    }
-
-    fn resumed(
-        planner: &SplitPlanner,
-        checkpoint: &SplitCheckpoint,
-    ) -> Result<Self, SplitResumeError> {
-        let mut stepper = Self::fresh(planner)?;
-        if checkpoint.tallies.len() != stepper.strata.len()
-            || checkpoint.schedules.len() != stepper.strata.len()
-        {
-            return Err(SplitResumeError::StratumCountMismatch {
-                expected: stepper.strata.len(),
-                found: checkpoint.tallies.len().min(checkpoint.schedules.len()),
-            });
-        }
-        for (si, ladder) in stepper.ladders.iter().enumerate() {
-            let found = checkpoint.tallies[si].rungs();
-            if found != ladder.len() || checkpoint.schedules[si].len() != ladder.len() {
-                return Err(SplitResumeError::LadderMismatch {
-                    stratum: si,
-                    expected: ladder.len(),
-                    found,
-                });
-            }
-        }
-        if checkpoint.next_round != checkpoint.rounds.len() {
-            return Err(SplitResumeError::InconsistentTrail {
-                next_round: checkpoint.next_round,
-                rounds: checkpoint.rounds.len(),
-            });
-        }
-        stepper.tallies = checkpoint.tallies.clone();
-        stepper.schedules = checkpoint.schedules.clone();
-        stepper.rounds = checkpoint.rounds.clone();
-        stepper.reached_target = checkpoint.reached_target;
-        stepper.next_round = checkpoint.next_round;
-        Ok(stepper)
-    }
-
-    /// Whether the campaign is over: the target was reached or every
-    /// round has run. [`plan_round`](Self::plan_round) returns `None`.
-    pub fn is_finished(&self) -> bool {
-        self.reached_target || self.next_round > self.config.max_rounds
-    }
-
-    /// The next round to execute (0 = pilot).
-    pub fn next_round(&self) -> usize {
-        self.next_round
-    }
-
-    /// Summaries of the rounds completed so far, in order.
-    pub fn rounds(&self) -> &[SplitRoundSummary] {
-        &self.rounds
-    }
-
-    /// Total roots absorbed so far.
-    pub fn total_roots(&self) -> usize {
-        self.tallies.iter().map(|t| t.roots).sum()
-    }
-
-    /// Plans the next round's root jobs, or `None` when the campaign is
-    /// finished. Replanning after a drop replays the identical plan:
-    /// branch factors and root allocation derive purely from the tallies
-    /// absorbed in previous rounds, jobs from the seed rule.
-    pub fn plan_round(&mut self) -> Option<PlannedSplitRound> {
-        if self.is_finished() {
-            return None;
-        }
-        let round = self.next_round;
-        let alloc = if round == 0 {
-            vec![self.config.pilot_roots_per_stratum; self.strata.len()]
-        } else {
-            // Branch factors and root allocation both derive purely
-            // from tallies absorbed in previous rounds.
-            self.schedules = self
-                .tallies
-                .iter()
-                .map(|t| {
-                    let rungs = t.rungs();
-                    branch_schedule(
-                        &t.level_trials[..rungs],
-                        &t.level_crossings[..rungs],
-                        self.config.max_branch,
-                    )
-                })
-                .collect();
-            let scores = split_neyman_scores(&self.weights, &self.tallies, &self.bands);
-            apportion(&scores, self.config.round_roots)
-        };
-
-        // Plan serially: every job's parameters and seed derive from
-        // (campaign_seed, stratum, round, index), never from
-        // execution order — the same rule plain campaigns follow.
-        let roots_this_round: usize = alloc.iter().sum();
-        let mut jobs = Vec::with_capacity(roots_this_round);
-        let mut owners = Vec::with_capacity(roots_this_round);
-        for (si, &count) in alloc.iter().enumerate() {
-            for index in 0..count {
-                let base = campaign_job_seed(self.config.seed, si, round, index);
-                let mut rng = StdRng::seed_from_u64(base);
-                let params = self
-                    .stratification
-                    .sample(&self.model, self.strata[si], &mut rng);
-                jobs.push(SplitJob {
-                    params,
-                    seed: splitmix64(base ^ SIM_STREAM),
-                    levels: self.ladders[si].clone(),
-                    branches: self.schedules[si].clone(),
-                });
-                owners.push(si);
-            }
-        }
-        Some(PlannedSplitRound {
-            round,
-            allocated: alloc,
-            jobs,
-            owners,
-        })
-    }
-
-    /// Absorbs a planned round's outcomes (in job order) and advances to
-    /// the next round, returning the round's summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `planned` is not the stepper's current round or the
-    /// outcome count does not match the job count.
-    pub fn complete_round(
-        &mut self,
-        planned: &PlannedSplitRound,
-        outcomes: &[SplitOutcome],
-    ) -> SplitRoundSummary {
-        assert_eq!(
-            planned.round, self.next_round,
-            "complete_round fed a stale plan: round {} but the stepper is at round {}",
-            planned.round, self.next_round
-        );
-        assert_eq!(
-            outcomes.len(),
-            planned.jobs.len(),
-            "a SplitSource must return exactly one outcome per job"
-        );
-        // Absorb serially in job order: float accumulators see one
-        // canonical addition order for any thread or shard count.
-        for ((&si, job), outcome) in planned.owners.iter().zip(&planned.jobs).zip(outcomes) {
-            self.tallies[si].absorb(job.params.cpa_horizontal_ft, outcome);
-        }
-
-        let estimate = self.estimate();
-        let summary = SplitRoundSummary {
-            round: planned.round,
-            allocated: planned.allocated.clone(),
-            roots_this_round: planned.jobs.len(),
-            total_roots: estimate.total_roots,
-            total_steps: estimate.total_steps(),
-            equipped_nmac: estimate.equipped_nmac,
-            unequipped_nmac: estimate.unequipped_nmac,
-            risk_ratio: estimate.risk_ratio,
-        };
-        self.rounds.push(summary.clone());
-        if self.config.target_half_width.is_finite()
-            && estimate.risk_ratio.half_width() <= self.config.target_half_width
-        {
-            self.reached_target = true;
-        }
-        self.next_round += 1;
-        summary
-    }
-
-    fn estimate(&self) -> SplitEstimate {
-        split_estimate_from(
-            &self.strata,
-            &self.weights,
-            &self.bands,
-            &self.ladders,
-            &self.schedules,
-            &self.tallies,
-        )
-    }
-
     /// The campaign's exact state at the current round boundary —
     /// resumable byte-identically via [`SplitPlanner::resume`].
     pub fn checkpoint(&self) -> SplitCheckpoint {
         SplitCheckpoint {
-            next_round: self.next_round,
+            next_round: self.next_round(),
             tallies: self.tallies.clone(),
-            schedules: self.schedules.clone(),
-            rounds: self.rounds.clone(),
+            schedules: self.family.schedules.clone(),
+            rounds: self.rounds().to_vec(),
             reached_target: self.reached_target,
         }
-    }
-
-    /// The outcome as of the rounds completed so far (the final outcome
-    /// once [`is_finished`](Self::is_finished)).
-    pub fn outcome(&self) -> SplitCampaignOutcome {
-        SplitCampaignOutcome {
-            estimate: self.estimate(),
-            rounds: self.rounds.clone(),
-            reached_target: self.reached_target,
-        }
-    }
-}
-
-impl SplitPlanner {
-    /// A fresh stepper for this planner — the resumable equivalent of
-    /// [`SplitPlanner::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SplitConfigError`] when the configuration is degenerate
-    /// (same validation as every run path).
-    pub fn stepper(&self) -> Result<SplitStepper, SplitConfigError> {
-        SplitStepper::fresh(self)
-    }
-
-    /// Rebuilds a stepper from a [`SplitCheckpoint`]. The resumed stepper
-    /// replays the remaining rounds byte-identically to an uninterrupted
-    /// run of the same planner.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SplitResumeError`] when the planner's config is
-    /// degenerate or the checkpoint was taken under a different
-    /// stratification or ladder design.
-    pub fn resume(&self, checkpoint: &SplitCheckpoint) -> Result<SplitStepper, SplitResumeError> {
-        SplitStepper::resumed(self, checkpoint)
     }
 }
 

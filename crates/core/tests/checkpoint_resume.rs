@@ -2,7 +2,9 @@
 //! boundary, serializing its checkpoint to JSON, and resuming from the
 //! parsed checkpoint must be **byte-identical** to never having
 //! stopped — for paired campaigns (adaptive and uniform) and for
-//! multilevel-splitting campaigns.
+//! multilevel-splitting campaigns. A checkpoint whose trail or tallies
+//! no campaign could have produced is refused with a typed error, never
+//! resumed into a panic.
 //!
 //! This is the property the control plane's crash recovery rests on:
 //! a campaign's full state is (config, round index, merged tallies),
@@ -20,7 +22,8 @@ use uavca_sim::EncounterOutcome;
 use uavca_validation::{
     BatchRunner, CampaignCheckpoint, CampaignConfig, CampaignPlanner, CampaignResumeError,
     CampaignStepper, EncounterRunner, PairSource, PairedJob, PairedOutcome, SplitCheckpoint,
-    SplitConfig, SplitPlanner, SplitResumeError, SplitSource, SplitStepper,
+    SplitConfig, SplitJob, SplitOutcome, SplitPlanner, SplitResumeError, SplitSource, SplitStepper,
+    SplitTally, StratumTally,
 };
 
 fn runner() -> EncounterRunner {
@@ -270,6 +273,222 @@ fn splitting_resume_rejects_mismatched_ladders() {
         narrower.resume(&checkpoint),
         Err(SplitResumeError::StratumCountMismatch { .. })
     ));
+
+    // A corrupted trail (round index disagrees with the trail length)
+    // is rejected exactly as for paired campaigns.
+    let mut corrupt = checkpoint.clone();
+    corrupt.next_round = 5;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(SplitResumeError::InconsistentTrail { .. })
+    ));
+}
+
+/// The shared stepper refuses a plan for another round: absorbing it
+/// would file its outcomes under the wrong round.
+#[test]
+#[should_panic(expected = "complete_round fed a stale plan")]
+fn complete_round_rejects_a_stale_plan() {
+    let mut stepper = CampaignPlanner::new(runner(), CampaignConfig::default())
+        .stepper()
+        .expect("valid config");
+    let mut planned = stepper.plan_round().expect("pilot round plans");
+    planned.round = 1;
+    stepper.complete_round(&planned, &[]);
+}
+
+/// The shared stepper refuses an outcome list shorter than the plan:
+/// the missing jobs would silently drop out of the tallies.
+#[test]
+#[should_panic(expected = "exactly one outcome per job")]
+fn complete_round_rejects_a_short_outcome_list() {
+    let mut stepper = split_planner().stepper().expect("valid config");
+    let planned = stepper.plan_round().expect("pilot round plans");
+    let outcomes = RiggedSplits.run_splits(&planned.jobs[1..]);
+    stepper.complete_round(&planned, &outcomes);
+}
+
+/// A deterministic fake splitting source whose level counts fit the
+/// branch tree (every root enters stage 0 once and never crosses it),
+/// so its checkpoints resume, and campaigns over it cost no simulation.
+struct RiggedSplits;
+
+impl SplitSource for RiggedSplits {
+    fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome> {
+        jobs.iter()
+            .map(|j| {
+                let h = j.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let stages = j.levels.len() + 1;
+                let mut level_trials = vec![0; stages];
+                level_trials[0] = 1;
+                SplitOutcome {
+                    weight: (h % 5) as f64 / 8.0,
+                    level_trials,
+                    level_crossings: vec![0; stages],
+                    equipped_steps: 40 + h % 7,
+                    unequipped_steps: 40,
+                    unequipped: fake_outcome(h.rotate_left(17)),
+                }
+            })
+            .collect()
+    }
+}
+
+fn split_planner() -> SplitPlanner {
+    let config = SplitConfig {
+        seed: 5,
+        levels: 2,
+        max_branch: 4,
+        pilot_roots_per_stratum: 2,
+        round_roots: 12,
+        max_rounds: 2,
+        target_half_width: f64::INFINITY,
+        threads: 1,
+    };
+    SplitPlanner::new(runner(), config)
+        .model(enriched())
+        .stratification(Stratification::new(2))
+}
+
+fn paired_planner() -> CampaignPlanner {
+    let config = CampaignConfig {
+        seed: 3,
+        pilot_per_stratum: 2,
+        round_runs: 12,
+        max_rounds: 2,
+        target_half_width: f64::INFINITY,
+        threads: 1,
+    };
+    CampaignPlanner::new(runner(), config).stratification(Stratification::new(2))
+}
+
+/// The checkpoint after `rounds` rounds over the rigged source.
+fn split_checkpoint(planner: &SplitPlanner, rounds: usize) -> SplitCheckpoint {
+    let mut stepper = planner.stepper().expect("valid config");
+    for _ in 0..rounds {
+        let planned = stepper.plan_round().expect("round plans");
+        let outcomes = RiggedSplits.run_splits(&planned.jobs);
+        stepper.complete_round(&planned, &outcomes);
+    }
+    stepper.checkpoint()
+}
+
+/// The checkpoint after `rounds` rounds over the rigged source.
+fn paired_checkpoint(planner: &CampaignPlanner, rounds: usize) -> CampaignCheckpoint {
+    let mut stepper = planner.stepper().expect("valid config");
+    for _ in 0..rounds {
+        let planned = stepper.plan_round().expect("round plans");
+        let outcomes = RiggedPairs.run_pairs(&planned.jobs);
+        stepper.complete_round(&planned, &outcomes);
+    }
+    stepper.checkpoint()
+}
+
+#[test]
+fn paired_resume_rejects_an_overflowing_count() {
+    let planner = paired_planner();
+    let mut corrupt = paired_checkpoint(&planner, 1);
+    corrupt.tallies[0].pairs.neither = usize::MAX;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(CampaignResumeError::InvalidTally { .. })
+    ));
+}
+
+#[test]
+fn splitting_resume_rejects_an_empty_ladder() {
+    let planner = split_planner();
+    let mut corrupt = split_checkpoint(&planner, 1);
+    corrupt.tallies[0].level_trials.clear();
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(SplitResumeError::LadderMismatch { .. })
+    ));
+}
+
+#[test]
+fn splitting_resume_rejects_a_nan_moment() {
+    let planner = split_planner();
+    let mut corrupt = split_checkpoint(&planner, 1);
+    corrupt.tallies[0].sum_weight = f64::NAN;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(SplitResumeError::InvalidTally { .. })
+    ));
+}
+
+/// Sets one count of a paired tally to `usize::MAX`.
+fn overflow_paired(tally: &mut StratumTally, field: usize) {
+    let count = match field % 6 {
+        0 => &mut tally.pairs.both_nmac,
+        1 => &mut tally.pairs.equipped_only,
+        2 => &mut tally.pairs.unequipped_only,
+        3 => &mut tally.pairs.neither,
+        4 => &mut tally.alerts,
+        _ => &mut tally.false_alerts,
+    };
+    *count = usize::MAX;
+}
+
+/// Corrupts one field of a splitting tally: a count overflows, a moment
+/// sum becomes non-finite or negative, or a level vector is resized to
+/// any length from 0 to the ladder's rung count + 2.
+fn corrupt_split(tally: &mut SplitTally, field: usize, pick: usize) {
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0][pick % 4];
+    let stages = tally.level_trials.len();
+    match field % 14 {
+        0 => tally.roots = usize::MAX,
+        1 => tally.unequipped_nmacs = usize::MAX,
+        2 => tally.level_trials[pick % stages] = u64::MAX,
+        3 => tally.level_crossings[pick % stages] = u64::MAX,
+        4 => tally.equipped_steps = u64::MAX,
+        5 => tally.unequipped_steps = u64::MAX,
+        6 => tally.sum_weight = bad,
+        7 => tally.sum_weight_sq = bad,
+        8 => tally.sum_cross = bad,
+        9 => tally.sum_x = bad,
+        10 => tally.sum_xx = bad,
+        11 => tally.sum_xy = bad,
+        12 => tally.level_trials.resize(pick % (stages + 2), 0),
+        _ => tally.level_crossings.resize(pick % (stages + 2), 0),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A checkpoint with one corrupted tally field is either refused with
+    /// a typed error or resumes into a campaign that runs to completion
+    /// on the rigged source — never a panic (overflow, slice bounds, a
+    /// NaN clamp).
+    #[test]
+    fn corrupted_tallies_are_refused_or_harmless(
+        splitting in 0u8..2,
+        rounds in 0usize..3,
+        stratum in 0usize..8,
+        field in 0usize..14,
+        pick in 0usize..8,
+    ) {
+        if splitting == 1 {
+            let planner = split_planner();
+            let mut checkpoint = split_checkpoint(&planner, rounds);
+            let stratum = stratum % checkpoint.tallies.len();
+            corrupt_split(&mut checkpoint.tallies[stratum], field, pick);
+            if let Ok(mut resumed) = planner.resume(&checkpoint) {
+                finish_split(&mut resumed, &RiggedSplits);
+                resumed.outcome();
+            }
+        } else {
+            let planner = paired_planner();
+            let mut checkpoint = paired_checkpoint(&planner, rounds);
+            let stratum = stratum % checkpoint.tallies.len();
+            overflow_paired(&mut checkpoint.tallies[stratum], field);
+            if let Ok(mut resumed) = planner.resume(&checkpoint) {
+                finish_paired(&mut resumed, &RiggedPairs);
+                resumed.outcome();
+            }
+        }
+    }
 }
 
 proptest! {

@@ -34,8 +34,8 @@ use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::Stratification;
 use uavca_validation::{
     CampaignCheckpoint, CampaignOutcome, CampaignPlanner, CampaignStepper, EncounterRunner,
-    PairedJob, PairedOutcome, PlannedRound, PlannedSplitRound, RoundSummary, SplitCampaignOutcome,
-    SplitCheckpoint, SplitJob, SplitOutcome, SplitPlanner, SplitRoundSummary, SplitStepper,
+    PairedJob, PairedOutcome, PlannedRound, RoundSummary, SplitCampaignOutcome, SplitCheckpoint,
+    SplitJob, SplitOutcome, SplitPlanner, SplitRoundSummary, SplitStepper,
 };
 
 use crate::protocol::{CampaignRequest, SplitCampaignRequest};
@@ -409,11 +409,11 @@ impl fmt::Debug for Engine {
 #[derive(Debug)]
 enum Inflight {
     Paired {
-        planned: PlannedRound,
+        planned: PlannedRound<PairedJob>,
         outcomes: Vec<PairedOutcome>,
     },
     Splitting {
-        planned: PlannedSplitRound,
+        planned: PlannedRound<SplitJob>,
         outcomes: Vec<SplitOutcome>,
     },
 }
@@ -531,6 +531,15 @@ impl ControlPlane {
         spec: &CampaignSpec,
         from: Option<&Checkpoint>,
     ) -> Result<Engine, String> {
+        let cpa_bins = match spec {
+            CampaignSpec::Paired { request } => request.cpa_bins,
+            CampaignSpec::Splitting { request } => request.cpa_bins,
+        };
+        if cpa_bins == 0 {
+            return Err(String::from(
+                "campaign spec: cpa_bins must be at least 1 (a stratification needs a CPA band)",
+            ));
+        }
         match spec {
             CampaignSpec::Paired { request } => {
                 let planner = CampaignPlanner::new(runner.clone(), request.config)
@@ -604,7 +613,7 @@ impl ControlPlane {
         let c = self.campaigns.get(&id.0)?;
         let (rounds_completed, jobs_done) = match &c.engine {
             Engine::Paired(s) => (s.rounds().len(), s.total_runs()),
-            Engine::Splitting(s) => (s.rounds().len(), s.total_roots()),
+            Engine::Splitting(s) => (s.rounds().len(), s.total_runs()),
         };
         Some(CampaignStatus {
             id,

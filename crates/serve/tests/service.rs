@@ -1,17 +1,23 @@
 //! End-to-end service behaviour through the campaign lifecycle API:
 //! degenerate campaign configurations are rejected at `Create` with the
-//! same validation error the in-process planner returns, uniform
-//! campaigns stream every round, and a campaign on a dead fleet fails
-//! as a typed server error while the session survives.
+//! same validation error the in-process planner returns, as are specs
+//! with no CPA band and checkpoints no campaign could have produced;
+//! uniform campaigns stream every round, and a campaign on a dead fleet
+//! fails as a typed server error while the session survives.
 
 use std::sync::{Arc, OnceLock};
 
 use uavca_acasx::{AcasConfig, LogicTable};
+use uavca_encounter::Stratification;
 use uavca_serve::{
     channel_pair, CampaignClient, CampaignRequest, CampaignResult, CampaignServer, CampaignSpec,
-    CampaignState, RoundEvent, ServeError, SessionEnd, ShardedBackend, Transport,
+    CampaignState, Checkpoint, RoundEvent, ServeError, SessionEnd, ShardedBackend,
+    SplitCampaignRequest, Transport,
 };
-use uavca_validation::{CampaignConfig, CampaignConfigError, CampaignPlanner, EncounterRunner};
+use uavca_validation::{
+    BatchRunner, CampaignConfig, CampaignConfigError, CampaignPlanner, EncounterRunner,
+    SplitConfig, SplitPlanner,
+};
 
 fn runner() -> EncounterRunner {
     static TABLE: OnceLock<Arc<LogicTable>> = OnceLock::new();
@@ -68,6 +74,80 @@ fn degenerate_campaign_config_returns_the_typed_error_over_the_wire() {
         .map(|u| u.jobs_completed)
         .sum();
     assert_eq!(completed, 0, "no shard job may run on a rejected config");
+}
+
+#[test]
+fn zero_cpa_bands_return_an_error_reply_for_both_families() {
+    let (_server, client, handle) = serve_one(ShardedBackend::spawn_local(runner(), 1, 1));
+    let paired = CampaignSpec::Paired {
+        request: CampaignRequest {
+            config: CampaignConfig::default(),
+            model: Default::default(),
+            cpa_bins: 0,
+            uniform: false,
+        },
+    };
+    let splitting = CampaignSpec::Splitting {
+        request: SplitCampaignRequest {
+            config: SplitConfig::default(),
+            model: Default::default(),
+            cpa_bins: 0,
+        },
+    };
+    for spec in [paired, splitting] {
+        let err = client
+            .create_campaign(&spec, None)
+            .expect_err("a spec with no CPA band must be rejected at Create");
+        assert!(matches!(err, ServeError::Server(_)), "{err:?}");
+    }
+    client.shutdown().expect("the session survives a rejection");
+    assert_eq!(
+        handle.join().expect("server thread must not panic"),
+        Ok(SessionEnd::ShutdownRequested)
+    );
+}
+
+#[test]
+fn a_nan_splitting_checkpoint_gets_an_error_reply_and_the_session_keeps_serving() {
+    let (_server, client, handle) = serve_one(ShardedBackend::spawn_local(runner(), 1, 1));
+    let request = SplitCampaignRequest {
+        config: SplitConfig {
+            seed: 4,
+            levels: 2,
+            pilot_roots_per_stratum: 1,
+            round_roots: 8,
+            max_rounds: 1,
+            threads: 1,
+            ..SplitConfig::default()
+        },
+        model: Default::default(),
+        cpa_bins: 1,
+    };
+    let mut stepper = SplitPlanner::new(runner(), request.config)
+        .model(request.model)
+        .stratification(Stratification::new(request.cpa_bins))
+        .stepper()
+        .expect("valid config");
+    let planned = stepper.plan_round().expect("pilot round plans");
+    let outcomes =
+        BatchRunner::new(runner(), uavca_exec::Executor::new(1)).run_splits(&planned.jobs);
+    stepper.complete_round(&planned, &outcomes);
+    let mut checkpoint = stepper.checkpoint();
+    checkpoint.tallies[0].sum_weight = f64::NAN;
+
+    let spec = CampaignSpec::Splitting { request };
+    let err = client
+        .create_campaign(&spec, Some(&Checkpoint::Splitting { checkpoint }))
+        .expect_err("a NaN tally must be rejected at Create");
+    assert!(matches!(err, ServeError::Server(_)), "{err:?}");
+    client
+        .create_campaign(&spec, None)
+        .expect("the session keeps serving after the rejection");
+    client.shutdown().expect("the session survives a rejection");
+    assert_eq!(
+        handle.join().expect("server thread must not panic"),
+        Ok(SessionEnd::ShutdownRequested)
+    );
 }
 
 #[test]
