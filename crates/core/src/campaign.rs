@@ -903,13 +903,12 @@ impl<B: Backend> PairSource for BatchRunner<B> {
 /// Per-stratum running counts: the joint 2×2 outcome table plus the
 /// alerting tallies the table does not cover.
 ///
-/// This is the campaign's unit of mergeable state. Every cell is an
-/// integer count, so [`StratumTally::merge`] is exact, commutative and
-/// associative — which is precisely why sharded execution can be held
-/// to bit-identity with a single process: however a round's outcomes
-/// were partitioned (shard counts, scheduling, mid-round requeues),
-/// merging the partial tallies reproduces the same cells, and every
-/// statistic downstream is a pure function of the cells.
+/// Every cell is an integer count, and every statistic downstream is a
+/// pure function of the cells — which is why sharded execution can be
+/// held to bit-identity with a single process: shards return outcomes by
+/// job index, and absorbing them in job order reproduces the same cells
+/// however the round was partitioned (shard counts, scheduling,
+/// mid-round requeues).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StratumTally {
     /// The joint 2×2 outcome table of the pairs absorbed so far.
@@ -930,14 +929,6 @@ impl StratumTally {
         if pair.false_alert() {
             self.false_alerts += 1;
         }
-    }
-
-    /// Adds every count of `other` into this tally ([`PairTable::merge`]
-    /// on the 2×2 cells plus the alert counters).
-    pub fn merge(&mut self, other: &StratumTally) {
-        self.pairs.merge(&other.pairs);
-        self.alerts += other.alerts;
-        self.false_alerts += other.false_alerts;
     }
 
     /// Total pairs recorded.

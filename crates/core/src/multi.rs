@@ -200,9 +200,8 @@ impl<B: Backend> MultiSource for BatchRunner<B> {
 /// Per-stratum running counts of a multi campaign: the per-aircraft-pair
 /// 2×2 joint table plus per-encounter alerting tallies.
 ///
-/// Every cell is an integer count, so [`MultiStratumTally::merge`] is
-/// exact, commutative and associative — the same mergeable-state shape
-/// that holds sharded pairwise campaigns to bit-identity.
+/// Every cell is an integer count, the same shape that holds sharded
+/// pairwise campaigns to bit-identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MultiStratumTally {
     /// Joint 2×2 table over **aircraft pairs** (a k-aircraft encounter
@@ -242,14 +241,6 @@ impl MultiStratumTally {
         if outcome.false_alert() {
             self.false_alerts += 1;
         }
-    }
-
-    /// Adds every count of `other` into this tally.
-    pub fn merge(&mut self, other: &MultiStratumTally) {
-        self.pairs.merge(&other.pairs);
-        self.runs += other.runs;
-        self.alerts += other.alerts;
-        self.false_alerts += other.false_alerts;
     }
 
     /// Aircraft-pair samples recorded (the trials of the 2×2 table).
@@ -752,7 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn tally_absorb_counts_every_pair_and_merge_is_exact() {
+    fn tally_absorb_counts_every_pair() {
         let job = MultiJob {
             params: MultiEncounterModel::default()
                 .sample_in(MultiEncounterModel::default().strata()[4], &mut seeded(3)),
@@ -765,10 +756,6 @@ mod tests {
         tally.absorb(&outcome);
         assert_eq!(tally.runs, 1);
         assert_eq!(tally.pair_samples(), n * (n - 1) / 2);
-        let mut doubled = tally;
-        doubled.merge(&tally);
-        assert_eq!(doubled.runs, 2);
-        assert_eq!(doubled.pair_samples(), n * (n - 1));
     }
 
     fn seeded(seed: u64) -> StdRng {

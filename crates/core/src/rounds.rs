@@ -147,6 +147,23 @@ pub enum ResumeError<C> {
         /// Round summaries actually recorded.
         rounds: usize,
     },
+    /// The trail records more rounds than the schedule ever runs (the
+    /// pilot plus `max_rounds` refinement rounds).
+    TrailTooLong {
+        /// Round summaries recorded.
+        rounds: usize,
+        /// The most rounds the schedule runs.
+        max: usize,
+    },
+    /// The trail's last recorded total is not the number of runs the
+    /// schedule plans for that many rounds (`pilot` per stratum, then
+    /// exactly `round_budget` per refinement round).
+    UnplannedTotal {
+        /// Round summaries recorded.
+        rounds: usize,
+        /// The cumulative runs the trail's last round recorded.
+        recorded: usize,
+    },
     /// The tallies are impossible: one stratum's tally could not have
     /// come from any run (`stratum` names it), or the tallies do not sum
     /// to the round trail's last recorded totals (`stratum` is `None`).
@@ -184,6 +201,15 @@ impl<C: fmt::Display> fmt::Display for ResumeError<C> {
                 f,
                 "checkpoint: next_round {next_round} disagrees with {rounds} \
                  recorded round summaries"
+            ),
+            ResumeError::TrailTooLong { rounds, max } => write!(
+                f,
+                "checkpoint: {rounds} recorded rounds but the schedule runs at most {max}"
+            ),
+            ResumeError::UnplannedTotal { rounds, recorded } => write!(
+                f,
+                "checkpoint: {recorded} runs recorded after {rounds} rounds, \
+                 which is not what the schedule plans"
             ),
             ResumeError::InvalidTally {
                 stratum: Some(stratum),
@@ -240,11 +266,16 @@ impl<F: Family> RoundStepper<F> {
 
     /// Restores a checkpoint's round state onto this fresh stepper — the
     /// one check every family's resume runs. The checkpoint must hold one
-    /// tally per stratum and a trail whose length is its next round; every
-    /// tally must be possible (`checked_runs` returns its runs, or `None`
-    /// for an impossible tally); and the runs must sum, without overflow,
-    /// to `recorded_total` — the cumulative runs the trail's last round
-    /// recorded (0 before the pilot).
+    /// tally per stratum and a trail whose length is its next round and
+    /// at most the schedule's `max_rounds + 1`; `recorded_total` — the
+    /// cumulative runs the trail's last round recorded (0 before the
+    /// pilot) — must be what the schedule plans for that many rounds,
+    /// because `apportion` hands out each
+    /// round's budget exactly; every tally must be possible
+    /// (`checked_runs` returns its runs, or `None` for an impossible
+    /// tally); and the runs must sum, without overflow, to
+    /// `recorded_total`. Bounding the trail and its total bounds every
+    /// count the resumed rounds add to.
     pub(crate) fn restore<C>(
         mut self,
         tallies: &[F::Tally],
@@ -264,6 +295,28 @@ impl<F: Family> RoundStepper<F> {
             return Err(ResumeError::InconsistentTrail {
                 next_round,
                 rounds: rounds.len(),
+            });
+        }
+        let max = self.schedule.max_rounds.saturating_add(1);
+        if rounds.len() > max {
+            return Err(ResumeError::TrailTooLong {
+                rounds: rounds.len(),
+                max,
+            });
+        }
+        let planned = match rounds.len() {
+            0 => Some(0),
+            done => self
+                .schedule
+                .pilot
+                .checked_mul(self.tallies.len())
+                .zip(self.schedule.round_budget.checked_mul(done - 1))
+                .and_then(|(pilot, refinement)| pilot.checked_add(refinement)),
+        };
+        if planned != Some(recorded_total) {
+            return Err(ResumeError::UnplannedTotal {
+                rounds: rounds.len(),
+                recorded: recorded_total,
             });
         }
         let mut total = Some(0usize);

@@ -11,8 +11,9 @@ use crate::campaign::split_branch_seed;
 use crate::splitting::{SplitJob, SplitOutcome};
 
 /// Reusable per-worker simulation state: warm [`EncounterWorld`]s, one
-/// per equipage, each rearmed by the run that uses it — so repeated
-/// batches pay zero steady-state allocation.
+/// per equipage plus the unequipped twin of paired jobs, each rearmed by
+/// the run that uses it — so repeated batches pay zero steady-state
+/// allocation.
 ///
 /// Create one scratch per worker thread (never share across runners — the
 /// warmed worlds embed the owning runner's logic table and simulation
@@ -20,6 +21,9 @@ use crate::splitting::{SplitJob, SplitOutcome};
 #[derive(Debug, Default)]
 pub struct RunScratch {
     worlds: [Option<EncounterWorld>; 3],
+    /// The unequipped arm of [`EncounterRunner::run_pair_reusing`], kept
+    /// apart so an unequipped runner's pair still gets two worlds.
+    twin: Option<EncounterWorld>,
 }
 
 impl RunScratch {
@@ -29,12 +33,7 @@ impl RunScratch {
     }
 
     fn world(&mut self, equipage: Equipage) -> &mut Option<EncounterWorld> {
-        let idx = match equipage {
-            Equipage::Both => 0,
-            Equipage::OwnOnly => 1,
-            Equipage::Neither => 2,
-        };
-        &mut self.worlds[idx]
+        &mut self.worlds[equipage as usize]
     }
 }
 
@@ -172,6 +171,11 @@ impl EncounterRunner {
     /// scenario generation — the unit of paired Monte-Carlo estimation.
     /// Returns `(equipped, unequipped)` where "equipped" is this runner's
     /// configured equipage.
+    ///
+    /// Both arms are flown as one job by [`EncounterWorld::run_paired`]:
+    /// the shared pre-alert prefix once, then the unequipped twin in
+    /// lockstep on the same noise draws. Each outcome is bit-identical to
+    /// [`run_once_with`](Self::run_once_with) on the same seed.
     pub fn run_pair_reusing(
         &self,
         params: &EncounterParams,
@@ -180,9 +184,17 @@ impl EncounterRunner {
     ) -> (EncounterOutcome, EncounterOutcome) {
         let enc = self.generator.generate(params);
         let initial = [enc.own, enc.intruder];
-        let equipped = self.run_generated(&initial, seed, self.equipage, scratch);
-        let unequipped = self.run_generated(&initial, seed, Equipage::Neither, scratch);
-        (equipped, unequipped)
+        let RunScratch { worlds, twin } = scratch;
+        let world = self.warm(
+            &mut worlds[self.equipage as usize],
+            &initial,
+            seed,
+            self.equipage,
+        );
+        let twin = twin.get_or_insert_with(|| {
+            EncounterWorld::new(self.sim, initial, self.avoiders(Equipage::Neither), seed)
+        });
+        world.run_paired(twin)
     }
 
     fn run_generated(
@@ -192,11 +204,24 @@ impl EncounterRunner {
         equipage: Equipage,
         scratch: &mut RunScratch,
     ) -> EncounterOutcome {
-        let world = scratch.world(equipage).get_or_insert_with(|| {
+        self.warm(scratch.world(equipage), initial, seed, equipage)
+            .run()
+    }
+
+    /// The warm world in `slot` (built on first use), reset to `initial`
+    /// and `seed`.
+    fn warm<'a>(
+        &self,
+        slot: &'a mut Option<EncounterWorld>,
+        initial: &[UavState; 2],
+        seed: u64,
+        equipage: Equipage,
+    ) -> &'a mut EncounterWorld {
+        let world = slot.get_or_insert_with(|| {
             EncounterWorld::new(self.sim, *initial, self.avoiders(equipage), seed)
         });
         world.reset(*initial, seed);
-        world.run()
+        world
     }
 
     /// Runs one multilevel-splitting root (see [`crate::SplitJob`]): a
@@ -222,10 +247,12 @@ impl EncounterRunner {
         let enc = self.generator.generate(&job.params);
         let initial = [enc.own, enc.intruder];
         let unequipped = self.run_generated(&initial, job.seed, Equipage::Neither, scratch);
-        let world = scratch.world(self.equipage).get_or_insert_with(|| {
-            EncounterWorld::new(self.sim, initial, self.avoiders(self.equipage), job.seed)
-        });
-        world.reset(initial, job.seed);
+        let world = self.warm(
+            scratch.world(self.equipage),
+            &initial,
+            job.seed,
+            self.equipage,
+        );
         world.begin();
         let stages = job.levels.len() + 1;
         let mut walk = SplitWalk {

@@ -396,6 +396,60 @@ fn paired_resume_rejects_an_overflowing_count() {
 }
 
 #[test]
+fn paired_resume_rejects_a_forged_total_that_matches_its_tally() {
+    // A near-`usize::MAX` count with the trail's total raised to match:
+    // the tallies agree with the trail, but no schedule plans that many
+    // runs, and the next round's tally sums would overflow.
+    let planner = paired_planner();
+    let mut corrupt = paired_checkpoint(&planner, 1);
+    let raise = usize::MAX - 10 - corrupt.rounds[0].total_runs;
+    corrupt.tallies[0].pairs.neither += raise;
+    corrupt.rounds[0].total_runs += raise;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(CampaignResumeError::UnplannedTotal { rounds: 1, .. })
+    ));
+
+    // One run too many, just as consistent, is refused the same way.
+    let mut corrupt = paired_checkpoint(&planner, 2);
+    corrupt.tallies[1].pairs.neither += 1;
+    corrupt.rounds[1].total_runs += 1;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(CampaignResumeError::UnplannedTotal { rounds: 2, .. })
+    ));
+}
+
+#[test]
+fn resume_rejects_a_trail_longer_than_the_schedule() {
+    // The paired planner runs the pilot plus 2 refinement rounds; a
+    // fourth, consistently recorded round is refused.
+    let planner = paired_planner();
+    let mut corrupt = paired_checkpoint(&planner, 3);
+    let mut extra = corrupt.rounds[2].clone();
+    extra.round = 3;
+    extra.total_runs += 12;
+    corrupt.rounds.push(extra);
+    corrupt.next_round = 4;
+    corrupt.tallies[0].pairs.neither += 12;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(CampaignResumeError::TrailTooLong { rounds: 4, max: 3 })
+    ));
+
+    let planner = split_planner();
+    let mut corrupt = split_checkpoint(&planner, 3);
+    let mut extra = corrupt.rounds[2].clone();
+    extra.total_roots += 12;
+    corrupt.rounds.push(extra);
+    corrupt.next_round = 4;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(SplitResumeError::TrailTooLong { rounds: 4, max: 3 })
+    ));
+}
+
+#[test]
 fn splitting_resume_rejects_an_empty_ladder() {
     let planner = split_planner();
     let mut corrupt = split_checkpoint(&planner, 1);

@@ -342,8 +342,41 @@ impl RectGrid {
             lows[dim] = lo;
             fracs[dim] = frac;
         }
+        if d == 3 {
+            let w = [
+                [1.0 - fracs[0], fracs[0]],
+                [1.0 - fracs[1], fracs[1]],
+                [1.0 - fracs[2], fracs[2]],
+            ];
+            if w.iter().flatten().all(|&wd| wd != 0.0) {
+                self.eight_corners(&lows, &w, out);
+                return Ok(());
+            }
+        }
         self.expand_corners(d, &lows, &fracs, out);
         Ok(())
+    }
+
+    /// The straight-line 3-D kernel: all eight corners of a query whose
+    /// six per-axis weights `w[dim] = [1 - frac, frac]` are non-zero, in
+    /// [`expand_corners`](Self::expand_corners)'s mask order with the
+    /// same bits — its loop weight `((1·w0)·w1)·w2` equals `(w0·w1)·w2`.
+    #[inline]
+    fn eight_corners(
+        &self,
+        lows: &[usize; MAX_INTERP_DIMS],
+        w: &[[f64; 2]; 3],
+        out: &mut InterpCorners,
+    ) {
+        let base =
+            lows[0] * self.strides[0] + lows[1] * self.strides[1] + lows[2] * self.strides[2];
+        for mask in 0..8 {
+            let (h0, h1, h2) = (mask & 1, mask >> 1 & 1, mask >> 2 & 1);
+            out.indices[mask] =
+                base + h0 * self.strides[0] + h1 * self.strides[1] + h2 * self.strides[2];
+            out.weights[mask] = w[0][h0] * w[1][h1] * w[2][h2];
+        }
+        out.len = 8;
     }
 
     /// The interpolation bracket of coordinate `x` on axis `dim`:
@@ -383,6 +416,12 @@ impl RectGrid {
     /// Expands per-axis `(low, frac)` brackets into weighted corners, in the
     /// same bitmask order (and with the same zero-weight skipping) as
     /// [`interp_weights`](Self::interp_weights).
+    ///
+    /// The general path: 3-D queries whose six per-axis weights are all
+    /// non-zero take [`eight_corners`](Self::eight_corners) instead, so
+    /// this serves other dimensionalities, exact grid hits, axis ends,
+    /// NaN coordinates and one-point axes. Zero-weight corners must stay
+    /// skipped: adding one to a `−∞` row turns it into NaN.
     ///
     /// Kept out of line: inlined into its one caller, logic-table
     /// lookups measured about 10 % slower on the coarse table and 4 %

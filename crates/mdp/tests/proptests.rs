@@ -38,6 +38,50 @@ fn arb_mdp(max_states: usize, max_actions: usize) -> impl Strategy<Value = Dense
     })
 }
 
+/// One query coordinate on `axis`, by `kind`: 0 a point inside (or a
+/// little beyond) the axis span at `t`, 1 the exact grid coordinate
+/// nearest `t`, 2 the bottom end, 3 the top end, 4 NaN, 5 `+∞`, 6 `−∞`.
+fn query_coordinate(axis: &[f64], kind: usize, t: f64) -> f64 {
+    let (lo, hi) = (axis[0], axis[axis.len() - 1]);
+    match kind {
+        0 => lo - 1.0 + t * (hi - lo + 2.0),
+        1 => axis[((t * axis.len() as f64) as usize).min(axis.len() - 1)],
+        2 => lo,
+        3 => hi,
+        4 => f64::NAN,
+        5 => f64::INFINITY,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+/// The generic corner expansion restated: bitmask order over the
+/// per-axis brackets, zero-weight corners skipped, weights multiplied
+/// up from 1 in axis order.
+fn reference_corners(grid: &uavca_mdp::RectGrid, query: &[f64]) -> (Vec<usize>, Vec<u64>) {
+    let d = query.len();
+    let mut strides = vec![1usize; d];
+    for dim in (0..d - 1).rev() {
+        strides[dim] = strides[dim + 1] * grid.axis(dim + 1).len();
+    }
+    let brackets: Vec<(usize, f64)> = (0..d).map(|dim| grid.bracket(dim, query[dim])).collect();
+    let (mut indices, mut weights) = (Vec::new(), Vec::new());
+    'corner: for mask in 0..1usize << d {
+        let (mut flat, mut w) = (0, 1.0f64);
+        for (dim, &(lo, frac)) in brackets.iter().enumerate() {
+            let hi = mask >> dim & 1;
+            let wd = if hi == 1 { frac } else { 1.0 - frac };
+            if wd == 0.0 {
+                continue 'corner;
+            }
+            w *= wd;
+            flat += (lo + hi) * strides[dim];
+        }
+        indices.push(flat);
+        weights.push(w.to_bits());
+    }
+    (indices, weights)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -126,6 +170,58 @@ proptest! {
         g.interp_weights_into(&[q0, q1, q2], &mut corners).unwrap();
         prop_assert_eq!(corners.indices(), w.indices.as_slice());
         prop_assert_eq!(corners.weights(), w.weights.as_slice());
+    }
+
+    /// The straight-line 3-D kernel writes the corners the generic mask
+    /// loop writes: same count, indices and weight bits, on exact grid
+    /// coordinates, axis ends, NaN, ±∞ and one-point axes too. The same
+    /// grid with a trailing one-point axis takes the generic expansion
+    /// and must agree as well.
+    #[test]
+    fn three_d_kernel_matches_generic_expansion(
+        sizes in (1usize..=6, 1usize..=6, 1usize..=6),
+        spacing in (0.1f64..50.0, 0.1f64..50.0, 0.1f64..50.0),
+        kinds in (0usize..14, 0usize..14, 0usize..14),
+        ts in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        // Kinds 7..14 are more "inside" draws, so many queries take the
+        // kernel.
+        let inside = |k: usize| if k >= 7 { 0 } else { k };
+        let kinds = [inside(kinds.0), inside(kinds.1), inside(kinds.2)];
+        let sizes = [sizes.0, sizes.1, sizes.2];
+        let spacing = [spacing.0, spacing.1, spacing.2];
+        let ts = [ts.0, ts.1, ts.2];
+        let axes: Vec<Vec<f64>> = (0..3)
+            .map(|dim| (0..sizes[dim]).map(|i| -20.0 + i as f64 * spacing[dim]).collect())
+            .collect();
+        let grid = axes
+            .iter()
+            .fold(RectGridBuilder::new(), |b, axis| b.axis(axis.clone()))
+            .build()
+            .unwrap();
+        let query: Vec<f64> = (0..3).map(|dim| query_coordinate(&axes[dim], kinds[dim], ts[dim])).collect();
+
+        let mut corners = uavca_mdp::InterpCorners::empty();
+        grid.interp_weights_into(&query, &mut corners).unwrap();
+        let got_weights: Vec<u64> = corners.weights().iter().map(|w| w.to_bits()).collect();
+        let (want_indices, want_weights) = reference_corners(&grid, &query);
+        prop_assert_eq!(corners.len(), want_indices.len());
+        prop_assert_eq!(corners.indices(), want_indices.as_slice());
+        prop_assert_eq!(&got_weights, &want_weights);
+
+        let grid4 = axes
+            .iter()
+            .fold(RectGridBuilder::new(), |b, axis| b.axis(axis.clone()))
+            .axis(vec![0.0])
+            .build()
+            .unwrap();
+        let mut generic = uavca_mdp::InterpCorners::empty();
+        grid4
+            .interp_weights_into(&[query[0], query[1], query[2], 0.0], &mut generic)
+            .unwrap();
+        let generic_weights: Vec<u64> = generic.weights().iter().map(|w| w.to_bits()).collect();
+        prop_assert_eq!(generic.indices(), corners.indices());
+        prop_assert_eq!(&generic_weights, &got_weights);
     }
 
     /// Multilinear interpolation is exact on affine functions inside the box.

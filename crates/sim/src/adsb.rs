@@ -85,26 +85,53 @@ impl AdsbSensor {
         time_s: f64,
         rng: &mut R,
     ) -> AdsbReport {
+        let noise = self.draw(rng);
+        self.apply(sender, state, time_s, &noise)
+    }
+
+    /// Draws one report's measurement noise: six standard normals, in
+    /// the order position x, y, z, then velocity x, y, z, scaled by the
+    /// model's sigmas. The draw count does not depend on the sigmas.
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> ReportNoise {
         let n = &self.noise;
-        let position = state.position
-            + Vec3::new(
+        ReportNoise {
+            position: Vec3::new(
                 sample_standard_normal(rng) * n.horizontal_position_sigma_ft,
                 sample_standard_normal(rng) * n.horizontal_position_sigma_ft,
                 sample_standard_normal(rng) * n.vertical_position_sigma_ft,
-            );
-        let velocity = state.velocity
-            + Vec3::new(
+            ),
+            velocity: Vec3::new(
                 sample_standard_normal(rng) * n.horizontal_velocity_sigma_fps,
                 sample_standard_normal(rng) * n.horizontal_velocity_sigma_fps,
                 sample_standard_normal(rng) * n.vertical_velocity_sigma_fps,
-            );
+            ),
+        }
+    }
+
+    /// The report of `sender`'s true `state` under an already drawn
+    /// `noise`.
+    pub(crate) fn apply(
+        &self,
+        sender: usize,
+        state: &UavState,
+        time_s: f64,
+        noise: &ReportNoise,
+    ) -> AdsbReport {
         AdsbReport {
             sender,
-            position,
-            velocity,
+            position: state.position + noise.position,
+            velocity: state.velocity + noise.velocity,
             time_s,
         }
     }
+}
+
+/// One report's scaled measurement noise, drawn by [`AdsbSensor::draw`]
+/// and added to the true state by [`AdsbSensor::apply`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReportNoise {
+    position: Vec3,
+    velocity: Vec3,
 }
 
 #[cfg(test)]

@@ -134,6 +134,12 @@ impl UavBody {
     /// Advances the body by `dt` seconds, applying command tracking and the
     /// environment disturbance drawn from `rng`.
     pub fn step<R: Rng + ?Sized>(&mut self, dt: f64, disturbance: &DisturbanceModel, rng: &mut R) {
+        let gust = disturbance.sample_gust(rng);
+        self.step_with_gust(dt, gust);
+    }
+
+    /// Advances the body by `dt` seconds under an already drawn `gust`.
+    pub(crate) fn step_with_gust(&mut self, dt: f64, gust: Vec3) {
         // Respond to the vertical command: after the response delay, move
         // the vertical rate toward the target under the acceleration limit.
         if let Some(target) = self.commanded_vs {
@@ -148,7 +154,6 @@ impl UavBody {
 
         // Environment disturbance: white-noise velocity perturbation (wind
         // gusts), per Section VI-C of the paper.
-        let gust = disturbance.sample_gust(rng);
         let effective_velocity = self.state.velocity + gust;
 
         self.state.position += effective_velocity * dt;

@@ -1,10 +1,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::adsb::ReportNoise;
 use crate::{
     AdsbSensor, AvoiderContext, CollisionAvoider, CoordinationBoard, EncounterOutcome,
-    ProximityMeasurer, Sense, SimConfig, Trace, UavBody, UavPerformance, UavState, Vec3,
-    NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT,
+    ManeuverCommand, ProximityMeasurer, Sense, SimConfig, Trace, UavBody, UavPerformance, UavState,
+    Vec3, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT,
 };
 
 /// The two-UAV encounter world: the headless agent-based simulation loop
@@ -40,6 +41,15 @@ impl std::fmt::Debug for Box<dyn CollisionAvoider> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "CollisionAvoider({})", self.name())
     }
+}
+
+/// Every random variate of one [`EncounterWorld`] step, scaled: the two
+/// ADS-B reports' measurement noise (`[of aircraft 1, of aircraft 0]`)
+/// and the two gusts (`[aircraft 0, aircraft 1]`).
+#[derive(Debug, Clone, Copy)]
+struct StepNoise {
+    reports: [ReportNoise; 2],
+    gusts: [Vec3; 2],
 }
 
 /// A point-in-time copy of an [`EncounterWorld`]'s complete mutable
@@ -287,38 +297,72 @@ impl EncounterWorld {
         &self.trace
     }
 
-    /// Advances the world by one step.
+    /// Advances the world by one step: draws the step's noise, then
+    /// applies it.
     pub fn step(&mut self) {
+        let noise = self.draw_noise();
+        self.apply(&noise);
+    }
+
+    /// Draws every random variate of one step, in the order the step
+    /// consumes them: the ADS-B report of aircraft 1 (received by 0), the
+    /// report of aircraft 0 (received by 1), then the gusts of aircraft 0
+    /// and 1. No draw depends on a decision, which is what lets
+    /// [`run_paired`](Self::run_paired) feed one draw to two worlds.
+    fn draw_noise(&mut self) -> StepNoise {
+        let report_of_1 = self.sensor.draw(&mut self.rng);
+        let report_of_0 = self.sensor.draw(&mut self.rng);
+        let gust_0 = self.config.disturbance.sample_gust(&mut self.rng);
+        let gust_1 = self.config.disturbance.sample_gust(&mut self.rng);
+        StepNoise {
+            reports: [report_of_1, report_of_0],
+            gusts: [gust_0, gust_1],
+        }
+    }
+
+    /// Senses, decides and advances one step under an already drawn
+    /// `noise`.
+    fn apply(&mut self, noise: &StepNoise) {
+        let commands = self.decide(noise);
+        self.advance(commands, noise);
+    }
+
+    /// Phases 1–2: each aircraft receives the noisy report of the other
+    /// and decides under the coordination restriction in force. Changes
+    /// nothing but the avoiders' advisory memory.
+    fn decide(&mut self, noise: &StepNoise) -> [Option<ManeuverCommand>; 2] {
         let dt = self.config.dt_s;
-
-        // 1. ADS-B broadcast: each aircraft receives a noisy report of the
-        //    other. Reports are per-receiver independent draws.
-        let report_of_1 = self
-            .sensor
-            .observe(1, self.uavs[1].state(), self.time_s, &mut self.rng);
-        let report_of_0 = self
-            .sensor
-            .observe(0, self.uavs[0].state(), self.time_s, &mut self.rng);
-
-        // 2. Decisions under the coordination restrictions in force.
-        let mut advisories: [&'static str; 2] = ["COC", "COC"];
-        #[allow(clippy::needless_range_loop)] // `id` indexes four parallel arrays
-        for id in 0..2 {
-            let own_state = *self.uavs[id].state();
-            let intruder_report = if id == 0 { report_of_1 } else { report_of_0 };
+        let reports = [
+            self.sensor
+                .apply(1, self.uavs[1].state(), self.time_s, &noise.reports[0]),
+            self.sensor
+                .apply(0, self.uavs[0].state(), self.time_s, &noise.reports[1]),
+        ];
+        let mut commands = [None; 2];
+        for (id, command) in commands.iter_mut().enumerate() {
             let forbidden = if self.config.coordination {
                 self.board.restriction_for(id)
             } else {
                 None
             };
             let ctx = AvoiderContext {
-                own: &own_state,
-                intruder: &intruder_report,
+                own: self.uavs[id].state(),
+                intruder: &reports[id],
                 forbidden_sense: forbidden,
                 time_s: self.time_s,
                 dt_s: dt,
             };
-            let command = self.avoiders[id].decide(&ctx);
+            *command = self.avoiders[id].decide(&ctx);
+        }
+        commands
+    }
+
+    /// Phases 3–5: commits the decisions, records the trace, moves both
+    /// aircraft under the drawn gusts and updates the monitors.
+    fn advance(&mut self, commands: [Option<ManeuverCommand>; 2], noise: &StepNoise) {
+        let dt = self.config.dt_s;
+        let mut advisories: [&'static str; 2] = ["COC", "COC"];
+        for (id, command) in commands.into_iter().enumerate() {
             match command {
                 Some(cmd) => {
                     self.uavs[id].command_vertical_rate(cmd.target_vertical_rate_fps);
@@ -355,8 +399,8 @@ impl EncounterWorld {
 
         // 4. Dynamics under disturbance.
         let before = [self.uavs[0].state().position, self.uavs[1].state().position];
-        self.uavs[0].step(dt, &self.config.disturbance, &mut self.rng);
-        self.uavs[1].step(dt, &self.config.disturbance, &mut self.rng);
+        self.uavs[0].step_with_gust(dt, noise.gusts[0]);
+        self.uavs[1].step_with_gust(dt, noise.gusts[1]);
         let after = [self.uavs[0].state().position, self.uavs[1].state().position];
 
         // 5. Continuous monitoring along the step's straight-line motion.
@@ -430,6 +474,75 @@ impl EncounterWorld {
             self.step();
         }
         self.outcome()
+    }
+
+    /// Runs this world and its unequipped `twin` as one paired job:
+    /// returns what [`run`](Self::run) on each world would return,
+    /// `(self, twin)`, bit for bit, with both worlds left in the state
+    /// their own `run` would leave them in.
+    ///
+    /// The pair is flown on this world's seed and initial states; the
+    /// twin's own state, seed and RNG are ignored. Until some decision
+    /// first alerts, both worlds would step identically (every decision
+    /// is "clear of conflict"), so only this world steps. At the step
+    /// where a decision first alerts, the twin takes this world's
+    /// pre-decision state (bodies, board, sensor, monitors, RNG,
+    /// counters and trace). From then on one noise draw per step, made
+    /// by this world, drives both: the draw count of a step does not
+    /// depend on any decision, so the twin's own RNG would have drawn the
+    /// same variates. If nothing ever alerts, the twin's outcome is this
+    /// world's.
+    ///
+    /// `twin` must share this world's [`SimConfig`], and its avoiders
+    /// must never alert ([`crate::Unequipped`]); the per-aircraft
+    /// performance travels with the copied bodies.
+    pub fn run_paired(
+        &mut self,
+        twin: &mut EncounterWorld,
+    ) -> (EncounterOutcome, EncounterOutcome) {
+        debug_assert_eq!(self.config, twin.config, "the twin must share the config");
+        self.begin();
+        let steps = self.config.num_steps();
+        while self.steps_done < steps {
+            let noise = self.draw_noise();
+            let commands = self.decide(&noise);
+            if commands.iter().any(Option::is_some) {
+                twin.copy_state_from(self);
+                twin.apply(&noise);
+                self.advance(commands, &noise);
+                while self.steps_done < steps {
+                    let noise = self.draw_noise();
+                    self.apply(&noise);
+                    twin.apply(&noise);
+                }
+                twin.rng.clone_from(&self.rng);
+                debug_assert_eq!(twin.alert_steps, [0, 0], "the twin must not alert");
+                return (self.outcome(), twin.outcome());
+            }
+            self.advance(commands, &noise);
+        }
+        twin.copy_state_from(self);
+        let outcome = self.outcome();
+        (outcome, outcome)
+    }
+
+    /// Takes `other`'s complete simulation state except its config and
+    /// avoiders.
+    fn copy_state_from(&mut self, other: &EncounterWorld) {
+        self.uavs.clone_from(&other.uavs);
+        self.board = other.board;
+        self.sensor = other.sensor;
+        self.proximity = other.proximity;
+        self.nmac = other.nmac;
+        self.first_nmac_time_s = other.first_nmac_time_s;
+        self.trace.clone_from(&other.trace);
+        self.rng.clone_from(&other.rng);
+        self.time_s = other.time_s;
+        self.steps_done = other.steps_done;
+        self.alert_steps = other.alert_steps;
+        self.first_alert_time_s = other.first_alert_time_s;
+        self.reversals = other.reversals;
+        self.last_sense = other.last_sense;
     }
 
     /// The outcome so far (valid mid-run as well as after [`run`](Self::run)).
