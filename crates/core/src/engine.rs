@@ -23,14 +23,15 @@
 //!   bit-identical results for 1 thread or N (covered by tests in
 //!   `tests/determinism.rs`).
 //! * **Allocation reuse.** Each worker holds a [`RunScratch`](crate::RunScratch)
-//!   — warm [`uavca_sim::EncounterWorld`]s per equipage — so steady-state
+//!   — warm [`uavca_sim::MultiEncounterWorld`]s per aircraft count, mode
+//!   and equipage — so steady-state
 //!   batches run allocation-free and `AcasXu` construction stays out of
 //!   the hot loop (the solved `LogicTable` is `Arc`-shared throughout, and
 //!   its lookup path itself allocates nothing per decision).
-//! * **One simulation path.** Every job flies a scalar
-//!   [`uavca_sim::EncounterWorld`] stepped to completion, the same path
-//!   [`crate::EncounterRunner::run_once_with`] takes, so a batch outcome
-//!   is the single-run outcome by construction.
+//! * **One simulation path.** Every job flies the one
+//!   [`uavca_sim::MultiEncounterWorld`] step (two-ship jobs at k = 2),
+//!   the same path [`crate::EncounterRunner::run_once_with`] takes, so a
+//!   batch outcome is the single-run outcome by construction.
 //!
 //! Consumers in this crate: [`crate::MonteCarloEstimator`] (paired
 //! campaigns), [`crate::FitnessFunction`] (per-genome evaluation, used by
@@ -97,8 +98,8 @@ impl PairedOutcome {
 /// [`SimEngine::Cohort`]. Both go once that label is retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEngine {
-    /// One [`uavca_sim::EncounterWorld`] per job, stepped to completion
-    /// before the next job starts — the only engine.
+    /// One [`uavca_sim::MultiEncounterWorld`] per job, stepped to
+    /// completion before the next job starts — the only engine.
     Scalar,
     /// A retired lockstep engine; never constructed.
     Cohort {

@@ -32,19 +32,17 @@
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use uavca_acasx::AcasXu;
 use uavca_encounter::{
     MultiEncounterModel, MultiEncounterParams, MultiScenarioGenerator, MultiStratum,
 };
 use uavca_exec::{Backend, Executor};
-use uavca_sim::{
-    CollisionAvoider, MultiEncounterOutcome, MultiEncounterWorld, MultiMode, UavState, Unequipped,
-};
+use uavca_sim::{MultiEncounterOutcome, MultiMode};
 
 use crate::rounds::{Family, PlannedRound, RoundStepper};
 use crate::{
     jackknife_ratio, neyman_scores, paired_covariance, BatchRunner, CampaignConfig,
-    CampaignConfigError, EncounterRunner, PairTable, RateEstimate, RatioEstimate, WeightedRate,
+    CampaignConfigError, EncounterRunner, Equipage, PairTable, RateEstimate, RatioEstimate,
+    RunScratch, WeightedRate,
 };
 
 /// One multi-aircraft paired run: the k-aircraft scenario, the seed both
@@ -99,83 +97,33 @@ pub trait MultiSource {
     fn run_multis(&self, jobs: &[MultiJob]) -> Vec<MultiPairedOutcome>;
 }
 
-/// Reusable per-worker state for multi-aircraft paired runs: one warm
-/// [`MultiEncounterWorld`] per arm, rebuilt only when a job changes the
-/// aircraft count or mode (within a campaign stratum both are fixed, so
-/// steady-state batches reset instead of reallocating).
-#[derive(Debug, Default)]
-pub struct MultiRunScratch {
-    /// `[equipped, unequipped]` warm worlds.
-    worlds: [Option<MultiEncounterWorld>; 2],
-}
-
-impl MultiRunScratch {
-    /// An empty (cold) scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// The scratch of multi-aircraft paired runs: [`RunScratch`] keeps one
+/// warm world per aircraft count, mode and arm.
+pub type MultiRunScratch = RunScratch;
 
 impl EncounterRunner {
-    fn multi_avoiders(&self, equipped: bool, n: usize) -> Vec<Box<dyn CollisionAvoider>> {
-        (0..n)
-            .map(|_| -> Box<dyn CollisionAvoider> {
-                if equipped {
-                    Box::new(AcasXu::new(self.table().clone()))
-                } else {
-                    Box::new(Unequipped::new())
-                }
-            })
-            .collect()
-    }
-
-    fn run_multi_generated(
-        &self,
-        initial: &[UavState],
-        job: &MultiJob,
-        equipped: bool,
-        scratch: &mut MultiRunScratch,
-    ) -> MultiEncounterOutcome {
-        let slot = &mut scratch.worlds[usize::from(!equipped)];
-        let reusable = slot
-            .as_ref()
-            .is_some_and(|w| w.num_aircraft() == initial.len() && w.mode() == job.mode);
-        if !reusable {
-            *slot = Some(MultiEncounterWorld::new(
-                *self.sim(),
-                job.mode,
-                initial,
-                self.multi_avoiders(equipped, initial.len()),
-                job.seed,
-            ));
-        }
-        // audit: allow(panic_policy, the slot was just filled above)
-        let world = slot.as_mut().expect("warm world present");
-        world.reset(initial, job.seed);
-        world.run()
-    }
-
     /// Runs both arms of one multi-aircraft paired job from a **single**
     /// scenario generation — the k-body counterpart of
-    /// [`EncounterRunner::run_pair_reusing`]. Outcomes are bit-identical
-    /// whatever the scratch previously held.
+    /// [`EncounterRunner::run_pair_reusing`], flown as one job by
+    /// [`uavca_sim::MultiEncounterWorld::run_paired`]. Outcomes are
+    /// bit-identical to two solo runs, whatever the scratch previously
+    /// held.
     pub fn run_multi_pair_reusing(
         &self,
         job: &MultiJob,
-        scratch: &mut MultiRunScratch,
+        scratch: &mut RunScratch,
     ) -> MultiPairedOutcome {
         let initial = MultiScenarioGenerator::default().generate(&job.params);
-        let equipped = self.run_multi_generated(&initial, job, true, scratch);
-        let unequipped = self.run_multi_generated(&initial, job, false, scratch);
+        let (world, twin) = self.fly_paired(&initial, job.mode, Equipage::Both, job.seed, scratch);
         MultiPairedOutcome {
-            equipped,
-            unequipped,
+            equipped: world.outcome(),
+            unequipped: twin.outcome(),
         }
     }
 
     /// Runs one multi-aircraft paired job on a cold scratch.
     pub fn run_multi_pair(&self, job: &MultiJob) -> MultiPairedOutcome {
-        self.run_multi_pair_reusing(job, &mut MultiRunScratch::new())
+        self.run_multi_pair_reusing(job, &mut RunScratch::new())
     }
 }
 
@@ -185,7 +133,7 @@ impl<B: Backend> BatchRunner<B> {
     /// bit-identical for any worker count.
     pub fn run_multis(&self, jobs: &[MultiJob]) -> Vec<MultiPairedOutcome> {
         self.backend()
-            .map_with(jobs, MultiRunScratch::new, |scratch, job| {
+            .map_with(jobs, RunScratch::new, |scratch, job| {
                 self.runner().run_multi_pair_reusing(job, scratch)
             })
     }

@@ -4,26 +4,28 @@ use serde::{Deserialize, Serialize};
 use uavca_acasx::{AcasConfig, AcasXu, LogicTable};
 use uavca_encounter::{EncounterParams, ScenarioGenerator};
 use uavca_sim::{
-    CollisionAvoider, EncounterOutcome, EncounterWorld, SimConfig, Trace, UavState, Unequipped,
+    CollisionAvoider, EncounterOutcome, MultiEncounterWorld, MultiMode, SimConfig, Trace, UavState,
+    Unequipped,
 };
 
 use crate::campaign::split_branch_seed;
 use crate::splitting::{SplitJob, SplitOutcome};
 
-/// Reusable per-worker simulation state: warm [`EncounterWorld`]s, one
-/// per equipage plus the unequipped twin of paired jobs, each rearmed by
-/// the run that uses it — so repeated batches pay zero steady-state
-/// allocation.
+/// Reusable per-worker simulation state: warm [`MultiEncounterWorld`]s,
+/// one per (aircraft count, mode, equipage) plus one unequipped twin per
+/// (aircraft count, mode), each rearmed by the run that uses it — so
+/// repeated batches pay zero steady-state allocation. Paired two-ship
+/// jobs, k-aircraft jobs and splitting roots all draw from it.
 ///
 /// Create one scratch per worker thread (never share across runners — the
 /// warmed worlds embed the owning runner's logic table and simulation
 /// configuration). [`crate::BatchRunner`] does this automatically.
 #[derive(Debug, Default)]
 pub struct RunScratch {
-    worlds: [Option<EncounterWorld>; 3],
-    /// The unequipped arm of [`EncounterRunner::run_pair_reusing`], kept
-    /// apart so an unequipped runner's pair still gets two worlds.
-    twin: Option<EncounterWorld>,
+    worlds: Vec<(Equipage, MultiEncounterWorld)>,
+    /// The unequipped arms of paired jobs, kept apart so an unequipped
+    /// runner's pair still gets two worlds.
+    twins: Vec<(Equipage, MultiEncounterWorld)>,
 }
 
 impl RunScratch {
@@ -31,21 +33,17 @@ impl RunScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn world(&mut self, equipage: Equipage) -> &mut Option<EncounterWorld> {
-        &mut self.worlds[equipage as usize]
-    }
 }
 
 /// What collision avoidance each aircraft carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Equipage {
-    /// Both aircraft run the ACAS XU-like logic (the paper's setting:
+    /// Every aircraft runs the ACAS XU-like logic (the paper's setting:
     /// coordinated, both maneuver).
     Both,
-    /// Only the own-ship is equipped.
+    /// Only the own-ship (aircraft 0) is equipped.
     OwnOnly,
-    /// Neither aircraft is equipped (baseline for risk ratios and for
+    /// No aircraft is equipped (baseline for risk ratios and for
     /// verifying that a scenario would actually collide unmitigated).
     Neither,
 }
@@ -122,14 +120,17 @@ impl EncounterRunner {
         self.equipage
     }
 
-    fn avoiders(&self, equipage: Equipage) -> [Box<dyn CollisionAvoider>; 2] {
-        let acas = || -> Box<dyn CollisionAvoider> { Box::new(AcasXu::new(self.table.clone())) };
-        let none = || -> Box<dyn CollisionAvoider> { Box::new(Unequipped::new()) };
-        match equipage {
-            Equipage::Both => [acas(), acas()],
-            Equipage::OwnOnly => [acas(), none()],
-            Equipage::Neither => [none(), none()],
-        }
+    fn avoiders(&self, equipage: Equipage, k: usize) -> Vec<Box<dyn CollisionAvoider>> {
+        (0..k)
+            .map(|id| -> Box<dyn CollisionAvoider> {
+                match (equipage, id) {
+                    (Equipage::Both, _) | (Equipage::OwnOnly, 0) => {
+                        Box::new(AcasXu::new(self.table.clone()))
+                    }
+                    _ => Box::new(Unequipped::new()),
+                }
+            })
+            .collect()
     }
 
     /// Runs one stochastic simulation of `params` with the configured
@@ -172,9 +173,10 @@ impl EncounterRunner {
     /// Returns `(equipped, unequipped)` where "equipped" is this runner's
     /// configured equipage.
     ///
-    /// Both arms are flown as one job by [`EncounterWorld::run_paired`]:
-    /// the shared pre-alert prefix once, then the unequipped twin in
-    /// lockstep on the same noise draws. Each outcome is bit-identical to
+    /// Both arms are flown as one job by
+    /// [`MultiEncounterWorld::run_paired`]: the shared pre-alert prefix
+    /// once, then the unequipped twin in lockstep on the same noise
+    /// draws. Each outcome is bit-identical to
     /// [`run_once_with`](Self::run_once_with) on the same seed.
     pub fn run_pair_reusing(
         &self,
@@ -183,18 +185,31 @@ impl EncounterRunner {
         scratch: &mut RunScratch,
     ) -> (EncounterOutcome, EncounterOutcome) {
         let enc = self.generator.generate(params);
-        let initial = [enc.own, enc.intruder];
-        let RunScratch { worlds, twin } = scratch;
-        let world = self.warm(
-            &mut worlds[self.equipage as usize],
-            &initial,
-            seed,
+        let (world, twin) = self.fly_paired(
+            &[enc.own, enc.intruder],
+            MultiMode::Pairwise,
             self.equipage,
+            seed,
+            scratch,
         );
-        let twin = twin.get_or_insert_with(|| {
-            EncounterWorld::new(self.sim, initial, self.avoiders(Equipage::Neither), seed)
-        });
-        world.run_paired(twin)
+        (world.pairwise_outcome(), twin.pairwise_outcome())
+    }
+
+    /// Flies `initial` with `equipage` in `mode` and its unequipped twin
+    /// as one paired job on warm worlds; returns `(equipped, twin)`.
+    pub(crate) fn fly_paired<'a>(
+        &self,
+        initial: &[UavState],
+        mode: MultiMode,
+        equipage: Equipage,
+        seed: u64,
+        scratch: &'a mut RunScratch,
+    ) -> (&'a mut MultiEncounterWorld, &'a mut MultiEncounterWorld) {
+        let RunScratch { worlds, twins } = scratch;
+        let world = self.warm(worlds, initial, mode, equipage, seed);
+        let twin = self.warm(twins, initial, mode, Equipage::Neither, seed);
+        world.run_paired(twin);
+        (world, twin)
     }
 
     fn run_generated(
@@ -204,23 +219,39 @@ impl EncounterRunner {
         equipage: Equipage,
         scratch: &mut RunScratch,
     ) -> EncounterOutcome {
-        self.warm(scratch.world(equipage), initial, seed, equipage)
-            .run()
+        let world = self.warm(
+            &mut scratch.worlds,
+            initial,
+            MultiMode::Pairwise,
+            equipage,
+            seed,
+        );
+        world.run_to_horizon();
+        world.pairwise_outcome()
     }
 
-    /// The warm world in `slot` (built on first use), reset to `initial`
-    /// and `seed`.
+    /// The warm world for `(initial.len(), mode, equipage)` in `slots`
+    /// (built on first use), reset to `initial` and `seed`.
     fn warm<'a>(
         &self,
-        slot: &'a mut Option<EncounterWorld>,
-        initial: &[UavState; 2],
-        seed: u64,
+        slots: &'a mut Vec<(Equipage, MultiEncounterWorld)>,
+        initial: &[UavState],
+        mode: MultiMode,
         equipage: Equipage,
-    ) -> &'a mut EncounterWorld {
-        let world = slot.get_or_insert_with(|| {
-            EncounterWorld::new(self.sim, *initial, self.avoiders(equipage), seed)
+        seed: u64,
+    ) -> &'a mut MultiEncounterWorld {
+        let k = initial.len();
+        let found = slots
+            .iter()
+            .position(|(e, w)| *e == equipage && w.num_aircraft() == k && w.mode() == mode);
+        let index = found.unwrap_or_else(|| {
+            let avoiders = self.avoiders(equipage, k);
+            let world = MultiEncounterWorld::new(self.sim, mode, initial, avoiders, seed);
+            slots.push((equipage, world));
+            slots.len() - 1
         });
-        world.reset(*initial, seed);
+        let world = &mut slots[index].1;
+        world.reset(initial, seed);
         world
     }
 
@@ -228,8 +259,8 @@ impl EncounterRunner {
     /// plain unequipped companion run on the root seed, then the equipped
     /// run driven as a depth-first branch tree — whenever the trajectory's
     /// tracked minimum severity first drops below the next ladder rung
-    /// the world is checkpointed ([`EncounterWorld::snapshot`]) and
-    /// re-branched `K` times ([`EncounterWorld::restore_branch`]) with
+    /// the world is checkpointed ([`MultiEncounterWorld::snapshot`]) and
+    /// re-branched `K` times ([`MultiEncounterWorld::restore_branch`]) with
     /// seeds from [`crate::split_branch_seed`].
     ///
     /// The returned weight `R = Σ_{NMAC leaves} Π_j 1/K_j` is an
@@ -248,10 +279,11 @@ impl EncounterRunner {
         let initial = [enc.own, enc.intruder];
         let unequipped = self.run_generated(&initial, job.seed, Equipage::Neither, scratch);
         let world = self.warm(
-            scratch.world(self.equipage),
+            &mut scratch.worlds,
             &initial,
-            job.seed,
+            MultiMode::Pairwise,
             self.equipage,
+            job.seed,
         );
         world.begin();
         let stages = job.levels.len() + 1;
@@ -302,14 +334,15 @@ impl EncounterRunner {
         let mut sim = self.sim;
         sim.record_trace = true;
         let enc = self.generator.generate(params);
-        let mut world = EncounterWorld::new(
+        let mut world = MultiEncounterWorld::new(
             sim,
-            [enc.own, enc.intruder],
-            self.avoiders(self.equipage),
+            MultiMode::Pairwise,
+            &[enc.own, enc.intruder],
+            self.avoiders(self.equipage, 2),
             seed,
         );
-        let outcome = world.run();
-        (outcome, world.trace().clone())
+        world.run_to_horizon();
+        (world.pairwise_outcome(), world.trace().clone())
     }
 
     /// A stable seed derived from the genome bits, so fitness is a pure
@@ -340,7 +373,7 @@ struct SplitWalk {
 /// stage's severity threshold (the terminal stage runs to NMAC or
 /// horizon), then either record the exit or checkpoint-and-branch.
 fn split_descend(
-    world: &mut EncounterWorld,
+    world: &mut MultiEncounterWorld,
     job: &SplitJob,
     stage: usize,
     leaf_weight: f64,
@@ -350,7 +383,7 @@ fn split_descend(
     let threshold = if terminal { 0.0 } else { job.levels[stage] };
     walk.equipped_steps += world.advance_to_severity(threshold) as u64;
     walk.level_trials[stage] += 1;
-    if world.nmac() {
+    if world.nmac_any() {
         // An NMAC crossed this stage (and implicitly every deeper rung);
         // the leaf contributes its full accumulated weight.
         walk.level_crossings[stage] += 1;

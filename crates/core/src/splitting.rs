@@ -1033,6 +1033,24 @@ impl SplitPlanner {
                 }
             }
         }
+        // Every root flies one unequipped run to the horizon, and every
+        // equipped segment (a stage trial) at most to the horizon.
+        let horizon = self.runner.sim().num_steps() as u64;
+        for (stratum, tally) in checkpoint.tallies.iter().enumerate() {
+            let segments = tally
+                .level_trials
+                .iter()
+                .try_fold(0u64, |sum, &t| sum.checked_add(t));
+            let fits = (tally.roots as u64).checked_mul(horizon) == Some(tally.unequipped_steps)
+                && segments
+                    .and_then(|s| s.checked_mul(horizon))
+                    .is_some_and(|most| tally.equipped_steps <= most);
+            if !fits {
+                return Err(SplitResumeError::InvalidTally {
+                    stratum: Some(stratum),
+                });
+            }
+        }
         stepper.family.schedules = checkpoint.schedules.clone();
         let last = checkpoint.rounds.last();
         // The cold-start schedule fans out 2 whatever `max_branch` is.

@@ -308,10 +308,14 @@ fn complete_round_rejects_a_short_outcome_list() {
     stepper.complete_round(&planned, &outcomes);
 }
 
-/// A deterministic fake splitting source whose level counts fit the
-/// branch tree (every root enters stage 0 once and never crosses it),
-/// so its checkpoints resume, and campaigns over it cost no simulation.
+/// A deterministic fake splitting source whose level and step counts fit
+/// the branch tree and the horizon (every root enters stage 0 once and
+/// never crosses it; the unequipped run flies the whole horizon), so its
+/// checkpoints resume, and campaigns over it cost no simulation.
 struct RiggedSplits;
+
+/// The default simulation horizon, in steps.
+const HORIZON_STEPS: u64 = 100;
 
 impl SplitSource for RiggedSplits {
     fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome> {
@@ -326,7 +330,7 @@ impl SplitSource for RiggedSplits {
                     level_trials,
                     level_crossings: vec![0; stages],
                     equipped_steps: 40 + h % 7,
-                    unequipped_steps: 40,
+                    unequipped_steps: HORIZON_STEPS,
                     unequipped: fake_outcome(h.rotate_left(17)),
                 }
             })
@@ -458,6 +462,35 @@ fn splitting_resume_rejects_an_empty_ladder() {
         planner.resume(&corrupt),
         Err(SplitResumeError::LadderMismatch { .. })
     ));
+}
+
+#[test]
+fn splitting_resume_rejects_step_counts_the_horizon_cannot_produce() {
+    let planner = split_planner();
+    assert_eq!(runner().sim().num_steps() as u64, HORIZON_STEPS);
+    // A near-`u64::MAX` equipped step count with the trail's total raised
+    // to match: the tallies agree with the trail, but the next round's
+    // step sum would overflow.
+    let mut corrupt = split_checkpoint(&planner, 1);
+    let raise = u64::MAX - 10 - corrupt.rounds[0].total_steps;
+    corrupt.tallies[0].equipped_steps += raise;
+    corrupt.rounds[0].total_steps += raise;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(SplitResumeError::InvalidTally { stratum: Some(0) })
+    ));
+
+    // One unequipped step off the horizon, just as consistent.
+    let mut corrupt = split_checkpoint(&planner, 2);
+    corrupt.tallies[1].unequipped_steps += 1;
+    corrupt.rounds[1].total_steps += 1;
+    assert!(matches!(
+        planner.resume(&corrupt),
+        Err(SplitResumeError::InvalidTally { stratum: Some(1) })
+    ));
+
+    // The uncorrupted checkpoints resume.
+    assert!(planner.resume(&split_checkpoint(&planner, 2)).is_ok());
 }
 
 #[test]

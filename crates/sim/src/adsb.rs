@@ -76,19 +76,6 @@ impl AdsbSensor {
         &self.noise
     }
 
-    /// Produces the report a receiver obtains for `sender`'s true `state`
-    /// at time `time_s`, drawing the measurement noise from `rng`.
-    pub fn observe<R: Rng + ?Sized>(
-        &self,
-        sender: usize,
-        state: &UavState,
-        time_s: f64,
-        rng: &mut R,
-    ) -> AdsbReport {
-        let noise = self.draw(rng);
-        self.apply(sender, state, time_s, &noise)
-    }
-
     /// Draws one report's measurement noise: six standard normals, in
     /// the order position x, y, z, then velocity x, y, z, scaled by the
     /// model's sigmas. The draw count does not depend on the sigmas.
@@ -128,17 +115,28 @@ impl AdsbSensor {
 
 /// One report's scaled measurement noise, drawn by [`AdsbSensor::draw`]
 /// and added to the true state by [`AdsbSensor::apply`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReportNoise {
     position: Vec3,
     velocity: Vec3,
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One report of `state` with freshly drawn noise.
+    pub(crate) fn observe(
+        sensor: &AdsbSensor,
+        sender: usize,
+        state: &UavState,
+        time_s: f64,
+        rng: &mut StdRng,
+    ) -> AdsbReport {
+        sensor.apply(sender, state, time_s, &sensor.draw(rng))
+    }
 
     fn state() -> UavState {
         UavState::new(
@@ -151,7 +149,7 @@ mod tests {
     fn noiseless_sensor_reports_truth() {
         let sensor = AdsbSensor::new(SensorNoise::none());
         let mut rng = StdRng::seed_from_u64(0);
-        let r = sensor.observe(1, &state(), 12.0, &mut rng);
+        let r = observe(&sensor, 1, &state(), 12.0, &mut rng);
         assert_eq!(r.position, state().position);
         assert_eq!(r.velocity, state().velocity);
         assert_eq!(r.sender, 1);
@@ -166,7 +164,7 @@ mod tests {
         let mut sum = 0.0;
         let mut sum2 = 0.0;
         for _ in 0..n {
-            let r = sensor.observe(0, &state(), 0.0, &mut rng);
+            let r = observe(&sensor, 0, &state(), 0.0, &mut rng);
             let err = r.position.z - state().position.z;
             sum += err;
             sum2 += err * err;
@@ -181,8 +179,8 @@ mod tests {
     fn reports_are_independent_draws() {
         let sensor = AdsbSensor::new(SensorNoise::default());
         let mut rng = StdRng::seed_from_u64(5);
-        let a = sensor.observe(0, &state(), 0.0, &mut rng);
-        let b = sensor.observe(0, &state(), 0.0, &mut rng);
+        let a = observe(&sensor, 0, &state(), 0.0, &mut rng);
+        let b = observe(&sensor, 0, &state(), 0.0, &mut rng);
         assert_ne!(a.position, b.position);
     }
 }

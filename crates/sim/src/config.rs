@@ -121,6 +121,13 @@ pub(crate) mod rand_distr_shim {
         f: [f64; LAYERS + 1],
     }
 
+    /// The layer edges `x` and densities `f`, for the reference sampler in
+    /// the tests.
+    #[cfg(test)]
+    pub(super) fn tables_for_tests() -> (&'static [f64], &'static [f64]) {
+        (&tables().x, &tables().f)
+    }
+
     fn tables() -> &'static Tables {
         static TABLES: OnceLock<Tables> = OnceLock::new();
         TABLES.get_or_init(|| {
@@ -166,39 +173,53 @@ pub(crate) mod rand_distr_shim {
     /// the ziggurat (both the values and the number of `u64`s consumed per
     /// call), but the determinism contract is unchanged: a given seed still
     /// yields one stable stream.
+    ///
+    /// Only the rectangle test is inlined into callers; the rare tail and
+    /// wedge cases continue out of line in [`finish_candidate`].
+    #[inline]
     pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         let t = tables();
-        loop {
-            let bits = rng.next_u64();
-            let i = (bits & (LAYERS as u64 - 1)) as usize;
-            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            // Signed uniform in [-1, 1); the low 7 bits picking the layer are
-            // disjoint from the 53 mantissa bits.
-            let s = 2.0 * u - 1.0;
-            let x = s * t.x[i];
-            if x.abs() < t.x[i + 1] {
-                // Strictly inside the layer's inscribed rectangle: accept
-                // without evaluating the density (~98.5% of draws).
-                return x;
-            }
-            if i == 0 {
-                // Base layer overhang is the tail beyond R; Marsaglia's
-                // exponential-majorant tail sampler.
-                loop {
-                    let tail_x = -nonzero_uniform(rng).ln() / R;
-                    let tail_y = -nonzero_uniform(rng).ln();
-                    if tail_y + tail_y > tail_x * tail_x {
-                        let mag = R + tail_x;
-                        return if s < 0.0 { -mag } else { mag };
-                    }
+        let bits = rng.next_u64();
+        let i = (bits & (LAYERS as u64 - 1)) as usize;
+        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // Signed uniform in [-1, 1); the low 7 bits picking the layer are
+        // disjoint from the 53 mantissa bits.
+        let s = 2.0 * u - 1.0;
+        let x = s * t.x[i];
+        if x.abs() < t.x[i + 1] {
+            // Strictly inside the layer's inscribed rectangle: accept
+            // without evaluating the density (~98.5% of draws).
+            return x;
+        }
+        finish_candidate(rng, i, s, x)
+    }
+
+    /// Accepts or rejects a candidate `x = s · x[i]` outside its layer's
+    /// inscribed rectangle; a rejected candidate is replaced by a fresh
+    /// [`sample_standard_normal`] draw, so the stream is consumed exactly
+    /// as one rejection loop would consume it.
+    #[cold]
+    #[inline(never)]
+    fn finish_candidate<R: Rng + ?Sized>(rng: &mut R, i: usize, s: f64, x: f64) -> f64 {
+        let t = tables();
+        if i == 0 {
+            // Base layer overhang is the tail beyond R; Marsaglia's
+            // exponential-majorant tail sampler.
+            loop {
+                let tail_x = -nonzero_uniform(rng).ln() / R;
+                let tail_y = -nonzero_uniform(rng).ln();
+                if tail_y + tail_y > tail_x * tail_x {
+                    let mag = R + tail_x;
+                    return if s < 0.0 { -mag } else { mag };
                 }
             }
-            // Wedge between the inscribed rectangle and the density curve.
-            let u2: f64 = rng.gen::<f64>();
-            if t.f[i] + u2 * (t.f[i + 1] - t.f[i]) < (-0.5 * x * x).exp() {
-                return x;
-            }
         }
+        // Wedge between the inscribed rectangle and the density curve.
+        let u2: f64 = rng.gen::<f64>();
+        if t.f[i] + u2 * (t.f[i + 1] - t.f[i]) < (-0.5 * x * x).exp() {
+            return x;
+        }
+        sample_standard_normal(rng)
     }
 }
 
@@ -239,6 +260,53 @@ mod tests {
             var_x.sqrt()
         );
         assert!((var_z.sqrt() - 2.0).abs() < 0.1, "sigma_z {}", var_z.sqrt());
+    }
+
+    /// The ziggurat as one rejection loop, the form the split fast/slow
+    /// path must reproduce variate for variate.
+    fn reference_normal(rng: &mut StdRng) -> f64 {
+        use rand::{Rng, RngCore};
+        const R: f64 = 3.442_619_855_899;
+        let (x, f) = rand_distr_shim::tables_for_tests();
+        let uniform = |rng: &mut StdRng| loop {
+            let u: f64 = rng.gen::<f64>();
+            if u > 0.0 {
+                return u;
+            }
+        };
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & 127) as usize;
+            let s = 2.0 * ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) - 1.0;
+            let v = s * x[i];
+            if v.abs() < x[i + 1] {
+                return v;
+            }
+            if i == 0 {
+                loop {
+                    let tail_x = -uniform(rng).ln() / R;
+                    let tail_y = -uniform(rng).ln();
+                    if tail_y + tail_y > tail_x * tail_x {
+                        return if s < 0.0 { -(R + tail_x) } else { R + tail_x };
+                    }
+                }
+            }
+            let u2: f64 = rng.gen::<f64>();
+            if f[i] + u2 * (f[i + 1] - f[i]) < (-0.5 * v * v).exp() {
+                return v;
+            }
+        }
+    }
+
+    #[test]
+    fn split_sampler_matches_the_single_loop_bit_for_bit() {
+        let mut fast = StdRng::seed_from_u64(3);
+        let mut reference = StdRng::seed_from_u64(3);
+        for n in 0..200_000 {
+            let a = rand_distr_shim::sample_standard_normal(&mut fast);
+            let b = reference_normal(&mut reference);
+            assert_eq!(a.to_bits(), b.to_bits(), "draw {n}");
+        }
     }
 
     #[test]

@@ -1,109 +1,52 @@
 use crate::{Sense, SenseSet};
 
-/// The maneuver coordination channel between the two aircraft.
+/// The maneuver coordination channel between k aircraft.
 ///
 /// Mirrors the mechanism of Section VI-C: "if the own-ship chooses a climb
 /// maneuver, it will send a coordination command to the intruder to require
-/// it not to choose maneuvers in the same direction."
-///
-/// Messages posted during step *t* become restrictions for the peer's
-/// decision at step *t+1* (one datalink latency). If both aircraft post the
-/// same sense simultaneously, the lower aircraft id wins and the other is
-/// restricted — the fixed-priority tie-break used by transponder-address
-/// comparison in TCAS-style coordination.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoordinationBoard {
-    /// Sense most recently *posted* by each aircraft (this step).
-    posted: [Option<Sense>; 2],
-    /// Restriction in force against each aircraft (from last commit).
-    in_force: [Option<Sense>; 2],
-}
-
-impl CoordinationBoard {
-    /// Creates an empty board.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that aircraft `id` selected a maneuver with `sense` this
-    /// step (or `None` for clear of conflict).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not 0 or 1.
-    pub fn post(&mut self, id: usize, sense: Option<Sense>) {
-        assert!(id < 2, "two-ship coordination only");
-        self.posted[id] = sense;
-    }
-
-    /// The sense aircraft `id` must currently avoid, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not 0 or 1.
-    pub fn restriction_for(&self, id: usize) -> Option<Sense> {
-        assert!(id < 2, "two-ship coordination only");
-        self.in_force[id]
-    }
-
-    /// Commits this step's postings into next step's restrictions and
-    /// clears the posting slots.
-    ///
-    /// A posted sense restricts the *peer* from maneuvering in the same
-    /// direction. Simultaneous same-sense postings are resolved in favor of
-    /// aircraft 0 (the lower id): aircraft 1 becomes restricted, aircraft 0
-    /// does not.
-    pub fn commit(&mut self) {
-        let p0 = self.posted[0];
-        let p1 = self.posted[1];
-        match (p0, p1) {
-            (Some(s0), Some(s1)) if s0 == s1 => {
-                // Conflict: id 0 keeps its sense, id 1 must not use it.
-                self.in_force[1] = Some(s0);
-                self.in_force[0] = None;
-            }
-            _ => {
-                self.in_force[1] = p0;
-                self.in_force[0] = p1;
-            }
-        }
-        self.posted = [None, None];
-    }
-
-    /// Clears all postings and restrictions.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// The n-party maneuver coordination channel.
-///
-/// Generalizes [`CoordinationBoard`] from two aircraft to k: each aircraft
-/// posts the sense of its selected maneuver (or `None`) every step, and
+/// it not to choose maneuvers in the same direction." Each aircraft posts
+/// the sense of its selected maneuver (or `None`) every step, and
 /// [`commit`](Self::commit) latches the postings as the *clearances* other
-/// aircraft see on the next step — the same one-datalink-step latency as
-/// the two-party board. Ties are broken by fixed priority: among aircraft
-/// holding the same sense, the lowest id wins (the transponder-address
-/// rule), exactly the two-party tie-break extended to n.
+/// aircraft see on the next step (one datalink latency). Ties are broken
+/// by fixed priority: among aircraft holding the same sense, the lowest id
+/// wins and the others are restricted — the transponder-address rule of
+/// TCAS-style coordination.
 ///
 /// Two read-out modes correspond to the two multi-aircraft equipage
 /// configurations:
 ///
 /// * [`restriction_between`](Self::restriction_between) — **pairwise
 ///   composition**: each aircraft coordinates only with its selected
-///   threat, seeing exactly what the two-party board would show for that
-///   pair. At k = 2 this reproduces [`CoordinationBoard`] bit for bit
-///   (see the `matches_two_party_board` test).
+///   threat, seeing the two-party rule for that pair: the threat's
+///   clearance restricts `own` unless both hold the same sense and `own`
+///   has the lower id. At k = 2 this is the paper's two-ship board.
 /// * [`forbidden_set`](Self::forbidden_set) — **coordinated
 ///   deconfliction**: an aircraft is restricted from every sense some
 ///   higher-priority aircraft holds in force, across *all* traffic, which
 ///   can forbid both senses at once (hence [`SenseSet`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MultiCoordinationBoard {
-    /// Sense most recently *posted* by each aircraft (this step).
-    posted: Vec<Option<Sense>>,
-    /// Sense clearance in force for each aircraft (from last commit).
-    committed: Vec<Option<Sense>>,
+    /// Per aircraft: the sense most recently *posted* (this step) and the
+    /// sense clearance in force (from the last commit).
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    posted: Option<Sense>,
+    committed: Option<Sense>,
+}
+
+impl Clone for MultiCoordinationBoard {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 impl MultiCoordinationBoard {
@@ -115,19 +58,18 @@ impl MultiCoordinationBoard {
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "coordination needs at least two aircraft");
         Self {
-            posted: vec![None; n],
-            committed: vec![None; n],
+            slots: vec![Slot::default(); n],
         }
     }
 
     /// Number of aircraft on the board.
     pub fn len(&self) -> usize {
-        self.posted.len()
+        self.slots.len()
     }
 
     /// Whether the board is empty (never true for a constructed board).
     pub fn is_empty(&self) -> bool {
-        self.posted.is_empty()
+        self.slots.is_empty()
     }
 
     /// Records that aircraft `id` selected a maneuver with `sense` this
@@ -137,15 +79,15 @@ impl MultiCoordinationBoard {
     ///
     /// Panics if `id` is out of range.
     pub fn post(&mut self, id: usize, sense: Option<Sense>) {
-        assert!(id < self.posted.len(), "aircraft id out of range");
-        self.posted[id] = sense;
+        assert!(id < self.slots.len(), "aircraft id out of range");
+        self.slots[id].posted = sense;
     }
 
     /// Commits this step's postings into next step's clearances and
     /// clears the posting slots.
     pub fn commit(&mut self) {
-        for (slot, posted) in self.committed.iter_mut().zip(&mut self.posted) {
-            *slot = posted.take();
+        for slot in &mut self.slots {
+            slot.committed = slot.posted.take();
         }
     }
 
@@ -156,7 +98,7 @@ impl MultiCoordinationBoard {
     ///
     /// Panics if `id` is out of range.
     pub fn clearance(&self, id: usize) -> Option<Sense> {
-        self.committed[id]
+        self.slots[id].committed
     }
 
     /// Pairwise read-out: the sense aircraft `own` must avoid when it
@@ -169,8 +111,8 @@ impl MultiCoordinationBoard {
     /// Panics if either id is out of range or `own == threat`.
     pub fn restriction_between(&self, own: usize, threat: usize) -> Option<Sense> {
         assert_ne!(own, threat, "an aircraft does not coordinate with itself");
-        let theirs = self.committed[threat]?;
-        if self.committed[own] == Some(theirs) && own < threat {
+        let theirs = self.slots[threat].committed?;
+        if self.slots[own].committed == Some(theirs) && own < threat {
             // Same-sense tie: the lower id keeps the sense unrestricted.
             return None;
         }
@@ -186,13 +128,13 @@ impl MultiCoordinationBoard {
     ///
     /// Panics if `own` is out of range.
     pub fn forbidden_set(&self, own: usize) -> SenseSet {
-        assert!(own < self.committed.len(), "aircraft id out of range");
+        assert!(own < self.slots.len(), "aircraft id out of range");
         let mut forbidden = SenseSet::NONE;
         for sense in [Sense::Up, Sense::Down] {
             let winner = self
-                .committed
+                .slots
                 .iter()
-                .position(|&c| c == Some(sense))
+                .position(|s| s.committed == Some(sense))
                 .filter(|&w| w != own);
             if winner.is_some() {
                 forbidden.insert(sense);
@@ -203,8 +145,7 @@ impl MultiCoordinationBoard {
 
     /// Clears all postings and clearances.
     pub fn reset(&mut self) {
-        self.posted.fill(None);
-        self.committed.fill(None);
+        self.slots.fill(Slot::default());
     }
 }
 
@@ -212,86 +153,87 @@ impl MultiCoordinationBoard {
 mod tests {
     use super::*;
 
+    /// What a two-ship board shows aircraft `id`: the restriction its
+    /// peer's clearance imposes.
+    fn restriction_for(b: &MultiCoordinationBoard, id: usize) -> Option<Sense> {
+        b.restriction_between(id, 1 - id)
+    }
+
     #[test]
     fn posting_restricts_the_peer_after_commit() {
-        let mut b = CoordinationBoard::new();
+        let mut b = MultiCoordinationBoard::new(2);
         b.post(0, Some(Sense::Up));
-        assert_eq!(b.restriction_for(1), None, "not in force until commit");
+        assert_eq!(restriction_for(&b, 1), None, "not in force until commit");
         b.commit();
-        assert_eq!(b.restriction_for(1), Some(Sense::Up));
-        assert_eq!(b.restriction_for(0), None);
+        assert_eq!(restriction_for(&b, 1), Some(Sense::Up));
+        assert_eq!(restriction_for(&b, 0), None);
     }
 
     #[test]
     fn clear_of_conflict_lifts_restriction() {
-        let mut b = CoordinationBoard::new();
+        let mut b = MultiCoordinationBoard::new(2);
         b.post(0, Some(Sense::Down));
         b.commit();
-        assert_eq!(b.restriction_for(1), Some(Sense::Down));
+        assert_eq!(restriction_for(&b, 1), Some(Sense::Down));
         b.post(0, None);
         b.commit();
-        assert_eq!(b.restriction_for(1), None);
+        assert_eq!(restriction_for(&b, 1), None);
     }
 
     #[test]
     fn same_sense_conflict_resolves_by_id() {
-        let mut b = CoordinationBoard::new();
+        let mut b = MultiCoordinationBoard::new(2);
         b.post(0, Some(Sense::Up));
         b.post(1, Some(Sense::Up));
         b.commit();
-        assert_eq!(b.restriction_for(1), Some(Sense::Up), "id 1 yields");
-        assert_eq!(b.restriction_for(0), None, "id 0 keeps its sense");
+        assert_eq!(restriction_for(&b, 1), Some(Sense::Up), "id 1 yields");
+        assert_eq!(restriction_for(&b, 0), None, "id 0 keeps its sense");
     }
 
     #[test]
     fn opposite_senses_coexist() {
-        let mut b = CoordinationBoard::new();
+        let mut b = MultiCoordinationBoard::new(2);
         b.post(0, Some(Sense::Up));
         b.post(1, Some(Sense::Down));
         b.commit();
-        assert_eq!(b.restriction_for(0), Some(Sense::Down));
-        assert_eq!(b.restriction_for(1), Some(Sense::Up));
+        assert_eq!(restriction_for(&b, 0), Some(Sense::Down));
+        assert_eq!(restriction_for(&b, 1), Some(Sense::Up));
         // Each is restricted from the *other's* sense, which they were not
         // using anyway: complementary maneuvers are undisturbed.
     }
 
     #[test]
     fn reset_clears_everything() {
-        let mut b = CoordinationBoard::new();
+        let mut b = MultiCoordinationBoard::new(2);
         b.post(0, Some(Sense::Up));
         b.commit();
         b.reset();
-        assert_eq!(b.restriction_for(0), None);
-        assert_eq!(b.restriction_for(1), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "two-ship")]
-    fn post_rejects_bad_id() {
-        CoordinationBoard::new().post(2, None);
+        assert_eq!(restriction_for(&b, 0), None);
+        assert_eq!(restriction_for(&b, 1), None);
     }
 
     #[test]
     fn multi_board_matches_two_party_board_exhaustively() {
-        // Both read-out modes of the k=2 multi board must reproduce the
-        // two-party board for every posting combination over two commits
+        // The two-ship rule, stated on its own: a posted sense restricts
+        // the peer from the next step on, and a same-sense tie restricts
+        // only aircraft 1. Both read-out modes of the k = 2 board must
+        // reproduce it for every posting combination over two commits
         // (the second commit checks clearing/overwrite behavior too).
+        let two_party = |p0: Option<Sense>, p1: Option<Sense>| match (p0, p1) {
+            (Some(s0), Some(s1)) if s0 == s1 => [None, Some(s0)],
+            _ => [p1, p0],
+        };
         let options = [None, Some(Sense::Up), Some(Sense::Down)];
         for &a0 in &options {
             for &a1 in &options {
                 for &b0 in &options {
                     for &b1 in &options {
-                        let mut two = CoordinationBoard::new();
                         let mut multi = MultiCoordinationBoard::new(2);
                         for (p0, p1) in [(a0, a1), (b0, b1)] {
-                            two.post(0, p0);
-                            two.post(1, p1);
                             multi.post(0, p0);
                             multi.post(1, p1);
-                            two.commit();
                             multi.commit();
-                            for own in 0..2 {
-                                let expect = two.restriction_for(own);
+                            for (own, expect) in two_party(p0, p1).into_iter().enumerate() {
                                 assert_eq!(
                                     multi.restriction_between(own, 1 - own),
                                     expect,

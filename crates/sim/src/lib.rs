@@ -1,4 +1,4 @@
-//! Agent-based 3-D two-UAV encounter simulation.
+//! Agent-based 3-D multi-UAV encounter simulation.
 //!
 //! This crate is the Rust equivalent of the MASON-based simulation layer of
 //! Zou, Alexander & McDermid (DSN 2016), Section VI-C. It provides:
@@ -9,11 +9,13 @@
 //! * [`AdsbSensor`]: the ADS-B broadcast channel with white sensor noise,
 //! * [`CollisionAvoider`]: the trait that plugs an avoidance logic (ACAS
 //!   XU-like, SVO, or nothing) into a UAV,
-//! * maneuver [`coordination`](CoordinationBoard) between the two aircraft,
+//! * maneuver [`coordination`](MultiCoordinationBoard) between the aircraft,
 //! * monitors — the paper's *Proximity Measurer* and *Accident Detector* —
 //!   aggregated into an [`EncounterOutcome`], and
-//! * [`EncounterWorld`]: the headless step loop, with an optional
-//!   [`Trace`] recorder replacing the paper's visualization mode.
+//! * [`MultiEncounterWorld`]: the headless step loop for any number of
+//!   aircraft, with the paired twin run, snapshot/branch for importance
+//!   splitting and an optional [`Trace`] recorder replacing the paper's
+//!   visualization mode; [`EncounterWorld`] is its two-ship view.
 //!
 //! # Example
 //!
@@ -59,9 +61,10 @@ mod world;
 pub use adsb::{AdsbReport, AdsbSensor, SensorNoise};
 pub use avoider::{AvoiderContext, CollisionAvoider, ManeuverCommand, Sense, SenseSet, Unequipped};
 pub use config::{DisturbanceModel, SimConfig};
-pub use coordination::{CoordinationBoard, MultiCoordinationBoard};
+pub use coordination::MultiCoordinationBoard;
 pub use multi::{
     pair_index, pairs, MultiEncounterOutcome, MultiEncounterWorld, MultiMode, PairOutcome,
+    WorldSnapshot,
 };
 
 pub use monitors::{
@@ -72,4 +75,4 @@ pub use trace::{Trace, TraceStep};
 pub use tracker::AlphaBetaTracker;
 pub use uav::{UavBody, UavPerformance, UavState};
 pub use vector::Vec3;
-pub use world::{EncounterWorld, WorldSnapshot};
+pub use world::EncounterWorld;

@@ -41,7 +41,7 @@ impl Default for ProximityMeasurer {
 
 impl ProximityMeasurer {
     /// Creates a measurer with no observations yet.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
             min_horizontal_ft: f64::INFINITY,
             min_vertical_ft: f64::INFINITY,

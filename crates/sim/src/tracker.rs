@@ -160,7 +160,7 @@ mod tests {
         for t in 0..200 {
             let truth_p = Vec3::new(0.0, 0.0, 5000.0) + truth_v * t as f64;
             let state = UavState::new(truth_p, truth_v);
-            let report = sensor.observe(1, &state, t as f64, &mut rng);
+            let report = crate::adsb::tests::observe(&sensor, 1, &state, t as f64, &mut rng);
             let (p, _) = tracker.update(&report);
             if t >= 10 {
                 raw_err += report.position.distance(truth_p);

@@ -1,7 +1,5 @@
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::config::DisturbanceModel;
 use crate::Vec3;
 
 /// Kinematic state of one UAV: position (ft) and velocity (ft/s) in the
@@ -132,13 +130,7 @@ impl UavBody {
     }
 
     /// Advances the body by `dt` seconds, applying command tracking and the
-    /// environment disturbance drawn from `rng`.
-    pub fn step<R: Rng + ?Sized>(&mut self, dt: f64, disturbance: &DisturbanceModel, rng: &mut R) {
-        let gust = disturbance.sample_gust(rng);
-        self.step_with_gust(dt, gust);
-    }
-
-    /// Advances the body by `dt` seconds under an already drawn `gust`.
+    /// environment disturbance `gust` (drawn by the world).
     pub(crate) fn step_with_gust(&mut self, dt: f64, gust: Vec3) {
         // Respond to the vertical command: after the response delay, move
         // the vertical rate toward the target under the acceleration limit.
@@ -163,12 +155,6 @@ impl UavBody {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn calm() -> DisturbanceModel {
-        DisturbanceModel::none()
-    }
 
     fn level_uav() -> UavBody {
         UavBody::new(
@@ -180,9 +166,8 @@ mod tests {
     #[test]
     fn constant_velocity_without_commands() {
         let mut uav = level_uav();
-        let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10 {
-            uav.step(1.0, &calm(), &mut rng);
+            uav.step_with_gust(1.0, Vec3::ZERO);
         }
         assert!((uav.state().position.x - 1500.0).abs() < 1e-9);
         assert_eq!(uav.state().position.z, 0.0);
@@ -191,24 +176,23 @@ mod tests {
     #[test]
     fn command_respects_response_delay_then_accel_limit() {
         let mut uav = level_uav();
-        let mut rng = StdRng::seed_from_u64(2);
         uav.command_vertical_rate(25.0); // 1500 fpm climb
                                          // First second: response delay, no vertical rate change.
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert_eq!(uav.state().velocity.z, 0.0);
         // Then accelerate at <= 8 ft/s².
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert!((uav.state().velocity.z - 8.0).abs() < 1e-9);
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert!((uav.state().velocity.z - 16.0).abs() < 1e-9);
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert!((uav.state().velocity.z - 24.0).abs() < 1e-9);
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert!(
             (uav.state().velocity.z - 25.0).abs() < 1e-9,
             "converges to target"
         );
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert!((uav.state().velocity.z - 25.0).abs() < 1e-9, "holds target");
     }
 
@@ -226,25 +210,23 @@ mod tests {
     #[test]
     fn reissuing_same_command_does_not_reset_delay() {
         let mut uav = level_uav();
-        let mut rng = StdRng::seed_from_u64(3);
         uav.command_vertical_rate(25.0);
-        uav.step(1.0, &calm(), &mut rng); // consumes the delay
+        uav.step_with_gust(1.0, Vec3::ZERO); // consumes the delay
         uav.command_vertical_rate(25.0); // same command re-issued
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert!(uav.state().velocity.z > 0.0, "maneuver must have started");
     }
 
     #[test]
     fn clear_command_maintains_rate() {
         let mut uav = level_uav();
-        let mut rng = StdRng::seed_from_u64(4);
         uav.command_vertical_rate(25.0);
         for _ in 0..6 {
-            uav.step(1.0, &calm(), &mut rng);
+            uav.step_with_gust(1.0, Vec3::ZERO);
         }
         let vs = uav.state().velocity.z;
         uav.clear_command();
-        uav.step(1.0, &calm(), &mut rng);
+        uav.step_with_gust(1.0, Vec3::ZERO);
         assert!((uav.state().velocity.z - vs).abs() < 1e-9);
     }
 

@@ -1,40 +1,22 @@
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::ops::{Deref, DerefMut};
 
-use crate::adsb::ReportNoise;
 use crate::{
-    AdsbSensor, AvoiderContext, CollisionAvoider, CoordinationBoard, EncounterOutcome,
-    ManeuverCommand, ProximityMeasurer, Sense, SimConfig, Trace, UavBody, UavPerformance, UavState,
-    Vec3, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT,
+    CollisionAvoider, EncounterOutcome, MultiEncounterWorld, MultiMode, SimConfig, UavState, Vec3,
+    NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT,
 };
 
-/// The two-UAV encounter world: the headless agent-based simulation loop
-/// of the paper's Section VI-C.
+/// The two-UAV encounter world of the paper's Section VI-C: the k = 2,
+/// [`MultiMode::Pairwise`] view of [`MultiEncounterWorld`], which owns the
+/// step, the twin, the trace and snapshot/branch (see its module docs
+/// for the phases and the draw order).
 ///
-/// Each step the world (1) broadcasts noisy ADS-B reports, (2) asks both
-/// [`CollisionAvoider`]s for a decision under the coordination restrictions
-/// in force, (3) commits new coordination messages, (4) advances the UAV
-/// dynamics under wind disturbance, and (5) updates the proximity/accident
-/// monitors, checking the NMAC condition *continuously* along each step's
-/// straight-line motion so fast crossings cannot slip between samples.
+/// Aircraft 0 is the own-ship and aircraft 1 the intruder. Every method
+/// of [`MultiEncounterWorld`] is available through `Deref`; the ones
+/// below take the pair as an array and report the pair's
+/// [`EncounterOutcome`].
 #[derive(Debug)]
 pub struct EncounterWorld {
-    config: SimConfig,
-    uavs: [UavBody; 2],
-    avoiders: [Box<dyn CollisionAvoider>; 2],
-    board: CoordinationBoard,
-    sensor: AdsbSensor,
-    proximity: ProximityMeasurer,
-    nmac: bool,
-    first_nmac_time_s: Option<f64>,
-    trace: Trace,
-    rng: StdRng,
-    time_s: f64,
-    steps_done: usize,
-    alert_steps: [usize; 2],
-    first_alert_time_s: Option<f64>,
-    reversals: [usize; 2],
-    last_sense: [Option<Sense>; 2],
+    world: MultiEncounterWorld,
 }
 
 impl std::fmt::Debug for Box<dyn CollisionAvoider> {
@@ -43,72 +25,17 @@ impl std::fmt::Debug for Box<dyn CollisionAvoider> {
     }
 }
 
-/// Every random variate of one [`EncounterWorld`] step, scaled: the two
-/// ADS-B reports' measurement noise (`[of aircraft 1, of aircraft 0]`)
-/// and the two gusts (`[aircraft 0, aircraft 1]`).
-#[derive(Debug, Clone, Copy)]
-struct StepNoise {
-    reports: [ReportNoise; 2],
-    gusts: [Vec3; 2],
+impl Deref for EncounterWorld {
+    type Target = MultiEncounterWorld;
+
+    fn deref(&self) -> &MultiEncounterWorld {
+        &self.world
+    }
 }
 
-/// A point-in-time copy of an [`EncounterWorld`]'s complete mutable
-/// state: UAV bodies, avoider advisory memory (via
-/// [`CollisionAvoider::clone_boxed`]), coordination board, sensor, RNG
-/// stream position, monitors and bookkeeping counters.
-///
-/// Taken with [`EncounterWorld::snapshot`] and reinstated with
-/// [`EncounterWorld::restore`] / [`EncounterWorld::restore_branch`],
-/// this is the checkpoint importance splitting branches from: `K`
-/// restores of one snapshot with `K` distinct branch seeds yield `K`
-/// continuation trajectories that share their history bit-for-bit and
-/// diverge only through future noise draws.
-///
-/// A snapshot does not carry the [`SimConfig`]: restoring into a world
-/// with a different config than the one the snapshot was taken from is
-/// a logic error (the horizon and noise model would disagree with the
-/// recorded counters).
-#[derive(Debug)]
-pub struct WorldSnapshot {
-    uavs: [UavBody; 2],
-    avoiders: [Box<dyn CollisionAvoider>; 2],
-    board: CoordinationBoard,
-    sensor: AdsbSensor,
-    proximity: ProximityMeasurer,
-    nmac: bool,
-    first_nmac_time_s: Option<f64>,
-    trace: Trace,
-    rng: StdRng,
-    time_s: f64,
-    steps_done: usize,
-    alert_steps: [usize; 2],
-    first_alert_time_s: Option<f64>,
-    reversals: [usize; 2],
-    last_sense: [Option<Sense>; 2],
-}
-
-impl Clone for WorldSnapshot {
-    fn clone(&self) -> Self {
-        Self {
-            uavs: self.uavs.clone(),
-            avoiders: [
-                self.avoiders[0].clone_boxed(),
-                self.avoiders[1].clone_boxed(),
-            ],
-            board: self.board,
-            sensor: self.sensor,
-            proximity: self.proximity,
-            nmac: self.nmac,
-            first_nmac_time_s: self.first_nmac_time_s,
-            trace: self.trace.clone(),
-            rng: self.rng.clone(),
-            time_s: self.time_s,
-            steps_done: self.steps_done,
-            alert_steps: self.alert_steps,
-            first_alert_time_s: self.first_alert_time_s,
-            reversals: self.reversals,
-            last_sense: self.last_sense,
-        }
+impl DerefMut for EncounterWorld {
+    fn deref_mut(&mut self) -> &mut MultiEncounterWorld {
+        &mut self.world
     }
 }
 
@@ -124,442 +51,43 @@ impl EncounterWorld {
         avoiders: [Box<dyn CollisionAvoider>; 2],
         seed: u64,
     ) -> Self {
-        Self::with_performance(
-            config,
-            initial,
-            [UavPerformance::default(); 2],
-            avoiders,
-            seed,
-        )
+        let world =
+            MultiEncounterWorld::new(config, MultiMode::Pairwise, &initial, avoiders.into(), seed);
+        Self { world }
     }
 
-    /// Creates a world with per-aircraft performance limits.
-    pub fn with_performance(
-        config: SimConfig,
-        initial: [UavState; 2],
-        performance: [UavPerformance; 2],
-        avoiders: [Box<dyn CollisionAvoider>; 2],
-        seed: u64,
-    ) -> Self {
-        let sensor = AdsbSensor::new(config.sensor_noise);
-        Self {
-            config,
-            uavs: [
-                UavBody::new(initial[0], performance[0]),
-                UavBody::new(initial[1], performance[1]),
-            ],
-            avoiders,
-            board: CoordinationBoard::new(),
-            sensor,
-            proximity: ProximityMeasurer::new(),
-            nmac: false,
-            first_nmac_time_s: None,
-            trace: Trace::new(),
-            rng: StdRng::seed_from_u64(seed),
-            time_s: 0.0,
-            steps_done: 0,
-            alert_steps: [0, 0],
-            first_alert_time_s: None,
-            reversals: [0, 0],
-            last_sense: [None, None],
-        }
-    }
-
-    /// Rearms the world for a fresh encounter, reusing the avoider
-    /// allocations (and whatever solved tables they share).
-    ///
-    /// After `reset`, the world behaves exactly as a newly constructed one
-    /// with the same `config`, per-aircraft performance, `initial` states
-    /// and `seed`: every monitor, counter, coordination slot and RNG is
-    /// reinitialized, and each avoider's [`CollisionAvoider::reset`] clears
-    /// its advisory memory. This is the allocation-free hot path batch
-    /// evaluation engines loop on — constructing a world per run costs two
-    /// boxed avoiders (and, for table-driven logics, their setup) per
-    /// encounter, which dominates small-encounter throughput.
+    /// Rearms the world for a fresh encounter (see
+    /// [`MultiEncounterWorld::reset`]).
     pub fn reset(&mut self, initial: [UavState; 2], seed: u64) {
-        for avoider in &mut self.avoiders {
-            avoider.reset();
-        }
-        self.uavs = [
-            UavBody::new(initial[0], *self.uavs[0].performance()),
-            UavBody::new(initial[1], *self.uavs[1].performance()),
-        ];
-        self.board.reset();
-        self.proximity = ProximityMeasurer::new();
-        self.nmac = false;
-        self.first_nmac_time_s = None;
-        self.trace = Trace::new();
-        self.rng = StdRng::seed_from_u64(seed);
-        self.time_s = 0.0;
-        self.steps_done = 0;
-        self.alert_steps = [0, 0];
-        self.first_alert_time_s = None;
-        self.reversals = [0, 0];
-        self.last_sense = [None, None];
-    }
-
-    /// Captures the world's complete mutable state as a [`WorldSnapshot`].
-    pub fn snapshot(&self) -> WorldSnapshot {
-        WorldSnapshot {
-            uavs: self.uavs.clone(),
-            avoiders: [
-                self.avoiders[0].clone_boxed(),
-                self.avoiders[1].clone_boxed(),
-            ],
-            board: self.board,
-            sensor: self.sensor,
-            proximity: self.proximity,
-            nmac: self.nmac,
-            first_nmac_time_s: self.first_nmac_time_s,
-            trace: self.trace.clone(),
-            rng: self.rng.clone(),
-            time_s: self.time_s,
-            steps_done: self.steps_done,
-            alert_steps: self.alert_steps,
-            first_alert_time_s: self.first_alert_time_s,
-            reversals: self.reversals,
-            last_sense: self.last_sense,
-        }
-    }
-
-    /// Reinstates a snapshot taken from a world with the same
-    /// [`SimConfig`] and per-aircraft performance. After `restore` the
-    /// world continues bit-identically to the world the snapshot was
-    /// taken from, including the RNG stream position.
-    pub fn restore(&mut self, snap: &WorldSnapshot) {
-        self.uavs = snap.uavs.clone();
-        self.avoiders = [
-            snap.avoiders[0].clone_boxed(),
-            snap.avoiders[1].clone_boxed(),
-        ];
-        self.board = snap.board;
-        self.sensor = snap.sensor;
-        self.proximity = snap.proximity;
-        self.nmac = snap.nmac;
-        self.first_nmac_time_s = snap.first_nmac_time_s;
-        self.trace = snap.trace.clone();
-        self.rng = snap.rng.clone();
-        self.time_s = snap.time_s;
-        self.steps_done = snap.steps_done;
-        self.alert_steps = snap.alert_steps;
-        self.first_alert_time_s = snap.first_alert_time_s;
-        self.reversals = snap.reversals;
-        self.last_sense = snap.last_sense;
-    }
-
-    /// [`restore`](Self::restore)s a snapshot, then replaces the RNG
-    /// with a fresh stream seeded by `branch_seed` — the importance
-    /// splitting branch operation. Two restores with the same branch
-    /// seed replay identically; distinct branch seeds give trajectories
-    /// that share history up to the snapshot and diverge after it.
-    pub fn restore_branch(&mut self, snap: &WorldSnapshot, branch_seed: u64) {
-        self.restore(snap);
-        self.rng = StdRng::seed_from_u64(branch_seed);
-    }
-
-    /// Current simulation time, s.
-    pub fn time_s(&self) -> f64 {
-        self.time_s
-    }
-
-    /// Steps taken so far (equals `time_s / config.dt_s`).
-    pub fn steps_done(&self) -> usize {
-        self.steps_done
-    }
-
-    /// Steps left until the configured horizon `config.max_time_s`.
-    pub fn steps_remaining(&self) -> usize {
-        self.config.num_steps().saturating_sub(self.steps_done)
+        self.world.reset(&initial, seed);
     }
 
     /// Whether an NMAC has latched so far in this run.
     pub fn nmac(&self) -> bool {
-        self.nmac
-    }
-
-    /// Smallest NMAC severity observed so far (see
-    /// [`crate::nmac_severity`]); `∞` before [`begin`](Self::begin).
-    pub fn min_severity(&self) -> f64 {
-        self.proximity.min_severity()
-    }
-
-    /// The current state of aircraft `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not 0 or 1.
-    pub fn uav_state(&self, id: usize) -> &UavState {
-        self.uavs[id].state()
-    }
-
-    /// The recorded trace (empty unless `config.record_trace` was set).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Advances the world by one step: draws the step's noise, then
-    /// applies it.
-    pub fn step(&mut self) {
-        let noise = self.draw_noise();
-        self.apply(&noise);
-    }
-
-    /// Draws every random variate of one step, in the order the step
-    /// consumes them: the ADS-B report of aircraft 1 (received by 0), the
-    /// report of aircraft 0 (received by 1), then the gusts of aircraft 0
-    /// and 1. No draw depends on a decision, which is what lets
-    /// [`run_paired`](Self::run_paired) feed one draw to two worlds.
-    fn draw_noise(&mut self) -> StepNoise {
-        let report_of_1 = self.sensor.draw(&mut self.rng);
-        let report_of_0 = self.sensor.draw(&mut self.rng);
-        let gust_0 = self.config.disturbance.sample_gust(&mut self.rng);
-        let gust_1 = self.config.disturbance.sample_gust(&mut self.rng);
-        StepNoise {
-            reports: [report_of_1, report_of_0],
-            gusts: [gust_0, gust_1],
-        }
-    }
-
-    /// Senses, decides and advances one step under an already drawn
-    /// `noise`.
-    fn apply(&mut self, noise: &StepNoise) {
-        let commands = self.decide(noise);
-        self.advance(commands, noise);
-    }
-
-    /// Phases 1–2: each aircraft receives the noisy report of the other
-    /// and decides under the coordination restriction in force. Changes
-    /// nothing but the avoiders' advisory memory.
-    fn decide(&mut self, noise: &StepNoise) -> [Option<ManeuverCommand>; 2] {
-        let dt = self.config.dt_s;
-        let reports = [
-            self.sensor
-                .apply(1, self.uavs[1].state(), self.time_s, &noise.reports[0]),
-            self.sensor
-                .apply(0, self.uavs[0].state(), self.time_s, &noise.reports[1]),
-        ];
-        let mut commands = [None; 2];
-        for (id, command) in commands.iter_mut().enumerate() {
-            let forbidden = if self.config.coordination {
-                self.board.restriction_for(id)
-            } else {
-                None
-            };
-            let ctx = AvoiderContext {
-                own: self.uavs[id].state(),
-                intruder: &reports[id],
-                forbidden_sense: forbidden,
-                time_s: self.time_s,
-                dt_s: dt,
-            };
-            *command = self.avoiders[id].decide(&ctx);
-        }
-        commands
-    }
-
-    /// Phases 3–5: commits the decisions, records the trace, moves both
-    /// aircraft under the drawn gusts and updates the monitors.
-    fn advance(&mut self, commands: [Option<ManeuverCommand>; 2], noise: &StepNoise) {
-        let dt = self.config.dt_s;
-        let mut advisories: [&'static str; 2] = ["COC", "COC"];
-        for (id, command) in commands.into_iter().enumerate() {
-            match command {
-                Some(cmd) => {
-                    self.uavs[id].command_vertical_rate(cmd.target_vertical_rate_fps);
-                    self.board.post(id, Some(cmd.sense));
-                    advisories[id] = cmd.label;
-                    self.alert_steps[id] += 1;
-                    if self.first_alert_time_s.is_none() {
-                        self.first_alert_time_s = Some(self.time_s);
-                    }
-                    if let Some(prev) = self.last_sense[id] {
-                        if prev == cmd.sense.opposite() {
-                            self.reversals[id] += 1;
-                        }
-                    }
-                    self.last_sense[id] = Some(cmd.sense);
-                }
-                None => {
-                    self.uavs[id].clear_command();
-                    self.board.post(id, None);
-                    self.last_sense[id] = None;
-                }
-            }
-        }
-
-        // 3. Coordination messages posted this step bind from next step.
-        self.board.commit();
-
-        if self.config.record_trace {
-            let own = *self.uavs[0].state();
-            let intr = *self.uavs[1].state();
-            self.trace
-                .record(self.time_s, &own, &intr, advisories[0], advisories[1]);
-        }
-
-        // 4. Dynamics under disturbance.
-        let before = [self.uavs[0].state().position, self.uavs[1].state().position];
-        self.uavs[0].step_with_gust(dt, noise.gusts[0]);
-        self.uavs[1].step_with_gust(dt, noise.gusts[1]);
-        let after = [self.uavs[0].state().position, self.uavs[1].state().position];
-
-        // 5. Continuous monitoring along the step's straight-line motion.
-        let rel0 = before[0] - before[1];
-        let rel1 = after[0] - after[1];
-        let (s_min, d_min) = segment_min_separation(rel0, rel1);
-        let t_at_min = self.time_s + s_min * dt;
-        // Feed the proximity measurer with the interpolated closest states.
-        let own_interp = UavState::new(
-            before[0].lerp(after[0], s_min),
-            self.uavs[0].state().velocity,
-        );
-        let intr_interp = UavState::new(
-            before[1].lerp(after[1], s_min),
-            self.uavs[1].state().velocity,
-        );
-        debug_assert!((own_interp.position.distance(intr_interp.position) - d_min).abs() < 1e-6);
-        self.proximity.observe(&own_interp, &intr_interp, t_at_min);
-        self.proximity
-            .observe(self.uavs[0].state(), self.uavs[1].state(), self.time_s + dt);
-        if !self.nmac {
-            if let Some(s) = segment_nmac(rel0, rel1) {
-                self.nmac = true;
-                self.first_nmac_time_s = Some(self.time_s + s * dt);
-            }
-        }
-
-        self.time_s += dt;
-        self.steps_done += 1;
-    }
-
-    /// Records the `t = 0` observation and instant-NMAC check that
-    /// [`run`](Self::run) performs before its first step. Incremental
-    /// drivers (importance splitting) call this once after
-    /// construction/[`reset`](Self::reset), then advance with
-    /// [`step`](Self::step) / [`advance_to_severity`](Self::advance_to_severity).
-    pub fn begin(&mut self) {
-        // Observe the initial geometry so instant conflicts are counted.
-        self.proximity
-            .observe(self.uavs[0].state(), self.uavs[1].state(), 0.0);
-        let rel = self.uavs[0].state().position - self.uavs[1].state().position;
-        if rel.horizontal_norm() < NMAC_HORIZONTAL_FT && rel.z.abs() < NMAC_VERTICAL_FT {
-            self.nmac = true;
-            self.first_nmac_time_s = Some(0.0);
-        }
-    }
-
-    /// Steps until the tracked minimum severity drops strictly below
-    /// `threshold`, an NMAC latches, or the horizon is exhausted —
-    /// whichever comes first. Returns the number of steps taken.
-    ///
-    /// Severity is monotonically non-increasing, so for a descending
-    /// threshold ladder each call resumes where the previous crossing
-    /// stopped; `threshold = 0.0` never matches (severity is
-    /// non-negative) and therefore means "run until NMAC or horizon".
-    pub fn advance_to_severity(&mut self, threshold: f64) -> usize {
-        let total = self.config.num_steps();
-        let mut taken = 0;
-        while self.steps_done < total && !self.nmac && self.proximity.min_severity() >= threshold {
-            self.step();
-            taken += 1;
-        }
-        taken
+        self.world.nmac_any()
     }
 
     /// Runs the encounter to `config.max_time_s` and returns the outcome.
     pub fn run(&mut self) -> EncounterOutcome {
-        self.begin();
-        let steps = self.config.num_steps();
-        while self.steps_done < steps {
-            self.step();
-        }
+        self.world.run_to_horizon();
         self.outcome()
     }
 
-    /// Runs this world and its unequipped `twin` as one paired job:
+    /// Runs this world and its unequipped `twin` as one paired job and
     /// returns what [`run`](Self::run) on each world would return,
-    /// `(self, twin)`, bit for bit, with both worlds left in the state
-    /// their own `run` would leave them in.
-    ///
-    /// The pair is flown on this world's seed and initial states; the
-    /// twin's own state, seed and RNG are ignored. Until some decision
-    /// first alerts, both worlds would step identically (every decision
-    /// is "clear of conflict"), so only this world steps. At the step
-    /// where a decision first alerts, the twin takes this world's
-    /// pre-decision state (bodies, board, sensor, monitors, RNG,
-    /// counters and trace). From then on one noise draw per step, made
-    /// by this world, drives both: the draw count of a step does not
-    /// depend on any decision, so the twin's own RNG would have drawn the
-    /// same variates. If nothing ever alerts, the twin's outcome is this
-    /// world's.
-    ///
-    /// `twin` must share this world's [`SimConfig`], and its avoiders
-    /// must never alert ([`crate::Unequipped`]); the per-aircraft
-    /// performance travels with the copied bodies.
+    /// `(self, twin)`, bit for bit (see
+    /// [`MultiEncounterWorld::run_paired`]).
     pub fn run_paired(
         &mut self,
         twin: &mut EncounterWorld,
     ) -> (EncounterOutcome, EncounterOutcome) {
-        debug_assert_eq!(self.config, twin.config, "the twin must share the config");
-        self.begin();
-        let steps = self.config.num_steps();
-        while self.steps_done < steps {
-            let noise = self.draw_noise();
-            let commands = self.decide(&noise);
-            if commands.iter().any(Option::is_some) {
-                twin.copy_state_from(self);
-                twin.apply(&noise);
-                self.advance(commands, &noise);
-                while self.steps_done < steps {
-                    let noise = self.draw_noise();
-                    self.apply(&noise);
-                    twin.apply(&noise);
-                }
-                twin.rng.clone_from(&self.rng);
-                debug_assert_eq!(twin.alert_steps, [0, 0], "the twin must not alert");
-                return (self.outcome(), twin.outcome());
-            }
-            self.advance(commands, &noise);
-        }
-        twin.copy_state_from(self);
-        let outcome = self.outcome();
-        (outcome, outcome)
-    }
-
-    /// Takes `other`'s complete simulation state except its config and
-    /// avoiders.
-    fn copy_state_from(&mut self, other: &EncounterWorld) {
-        self.uavs.clone_from(&other.uavs);
-        self.board = other.board;
-        self.sensor = other.sensor;
-        self.proximity = other.proximity;
-        self.nmac = other.nmac;
-        self.first_nmac_time_s = other.first_nmac_time_s;
-        self.trace.clone_from(&other.trace);
-        self.rng.clone_from(&other.rng);
-        self.time_s = other.time_s;
-        self.steps_done = other.steps_done;
-        self.alert_steps = other.alert_steps;
-        self.first_alert_time_s = other.first_alert_time_s;
-        self.reversals = other.reversals;
-        self.last_sense = other.last_sense;
+        self.world.run_paired(&mut twin.world);
+        (self.outcome(), twin.outcome())
     }
 
     /// The outcome so far (valid mid-run as well as after [`run`](Self::run)).
     pub fn outcome(&self) -> EncounterOutcome {
-        EncounterOutcome {
-            nmac: self.nmac,
-            first_nmac_time_s: self.first_nmac_time_s,
-            min_separation_ft: self.proximity.min_separation_ft(),
-            min_horizontal_ft: self.proximity.min_horizontal_ft(),
-            min_vertical_ft: self.proximity.min_vertical_ft(),
-            time_of_min_s: self.proximity.time_of_min_s(),
-            own_alert_steps: self.alert_steps[0],
-            intruder_alert_steps: self.alert_steps[1],
-            first_alert_time_s: self.first_alert_time_s,
-            own_reversals: self.reversals[0],
-            duration_s: self.time_s,
-        }
+        self.world.pairwise_outcome()
     }
 }
 

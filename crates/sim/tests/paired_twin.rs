@@ -164,6 +164,39 @@ fn recorded_traces_match_two_solo_runs() {
     }
 }
 
+/// FNV-1a over `text` and a newline terminator.
+fn fnv1a(hash: &mut u64, text: &str) {
+    for byte in text.bytes().chain([b'\n']) {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The traced solo runs of `recorded_traces_match_two_solo_runs` are the
+/// bits the retired two-ship step produced: the digest of their
+/// serialized outcomes and traces was computed with that step, before
+/// the two-ship world became a view of the k-aircraft world.
+#[test]
+fn recorded_traces_match_the_frozen_two_ship_digest() {
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut steps = 0;
+    for mut sim in configs() {
+        sim.record_trace = true;
+        for equip in EQUIPAGES {
+            for arm in [equip, Equip::Neither] {
+                let mut world =
+                    EncounterWorld::new(sim, head_on(9_000.0, 20.0), avoiders(arm, false), 3);
+                let outcome = world.run();
+                fnv1a(&mut digest, &serde_json::to_string(&outcome).unwrap());
+                fnv1a(&mut digest, &serde_json::to_string(world.trace()).unwrap());
+                steps += world.trace().len();
+            }
+        }
+    }
+    assert_eq!(steps, 2400);
+    assert_eq!(digest, 0x0902_e69d_9371_ef0e, "got {digest:#018x}");
+}
+
 #[test]
 fn tracking_avoiders_match_two_solo_runs() {
     for sim in configs() {
