@@ -1,45 +1,12 @@
-//! Criterion bench: batched vs serial Monte-Carlo evaluation throughput.
-//!
-//! Measures the payoff of the `BatchRunner` engine: the same Monte-Carlo
-//! campaign (paired equipped/unequipped runs on identical seeds) executed
-//! serially and on the shared worker pool, reported in encounters per
-//! second. Results are bit-identical across thread counts by
-//! construction; this bench exists to show the wall-clock gap.
+//! Criterion bench: the fitness-evaluation inner loop — 100 stochastic
+//! runs of one scenario, with fresh avoiders per run, serial with avoider
+//! reuse, and batched across the shared worker pool. Results are
+//! bit-identical across thread counts by construction; this bench exists
+//! to show the wall-clock gap.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use uavca_validation::{MonteCarloConfig, MonteCarloEstimator};
-
-fn config(threads: usize) -> MonteCarloConfig {
-    MonteCarloConfig {
-        num_encounters: 40,
-        runs_per_encounter: 2,
-        seed: 11,
-        threads,
-    }
-}
-
-fn bench_monte_carlo_scaling(c: &mut Criterion) {
-    let runner = uavca_bench::coarse_runner();
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut group = c.benchmark_group("monte_carlo_batch_eval");
-    group.sample_size(10);
-    for threads in [1usize, 2, hw] {
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("threads_{threads}")),
-            |b| {
-                let est = MonteCarloEstimator::new(runner.clone(), config(threads));
-                b.iter(|| est.estimate())
-            },
-        );
-    }
-    group.finish();
-}
+use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_repeated_runs(c: &mut Criterion) {
-    // The fitness-evaluation inner loop: 100 stochastic runs of one
-    // scenario, serial with avoider reuse vs batched across the pool.
     use uavca_encounter::EncounterParams;
     use uavca_exec::Executor;
     use uavca_validation::BatchRunner;
@@ -67,5 +34,5 @@ fn bench_repeated_runs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_monte_carlo_scaling, bench_repeated_runs);
+criterion_group!(benches, bench_repeated_runs);
 criterion_main!(benches);

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::{classify, EncounterParams, GeometryClass};
 
-use crate::montecarlo::{finite_or_null, float_or};
+use crate::rate::{finite_or_null, float_or};
 use crate::{RatioEstimate, RoundSummary, ScenarioSpace};
 
 /// One cluster of scenarios in parameter space.

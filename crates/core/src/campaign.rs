@@ -24,6 +24,11 @@
 //!    is recomputed; the campaign ends as soon as its half-width reaches
 //!    the configured target.
 //!
+//! With proportional allocation ([`CampaignPlanner::run_uniform`]) and
+//! `target_half_width = ∞` the same loop is the paper's fixed-budget
+//! Monte-Carlo estimate. Every job samples its own encounter, so the
+//! runs are independent trials and the intervals price them as such.
+//!
 //! # The paired estimator
 //!
 //! The two arms of every pair replay the *same* encounter on the *same*
@@ -54,7 +59,7 @@ use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::{StatisticalEncounterModel, Stratification, Stratum};
 use uavca_exec::{Backend, Executor};
 
-use crate::montecarlo::{finite_or_null, float_or};
+use crate::rate::{finite_or_null, float_or};
 use crate::rounds::{Family, PlannedRound, ResumeError, RoundStepper, Schedule};
 use crate::{BatchRunner, EncounterRunner, PairedJob, PairedOutcome, RateEstimate};
 
@@ -461,10 +466,15 @@ impl WeightedRate {
 
 impl std::fmt::Display for WeightedRate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The report tables' formatter, as for `RateEstimate`: a
+        // 1e-6-scale rate renders in scientific notation instead of
+        // flattening to `0.0000`.
         write!(
             f,
-            "{:.4} [95% CI {:.4}, {:.4}]",
-            self.rate, self.ci_low, self.ci_high
+            "{} [95% CI {}, {}]",
+            crate::report::fmt_rate(self.rate),
+            crate::report::fmt_rate(self.ci_low),
+            crate::report::fmt_rate(self.ci_high)
         )
     }
 }
@@ -790,7 +800,8 @@ pub struct StratumEstimate {
     pub false_alert: RateEstimate,
 }
 
-/// The stratified analogue of [`crate::MonteCarloEstimate`]: per-stratum
+/// A campaign's estimate of the paper's Monte-Carlo quantities (NMAC,
+/// alert and false-alert rates, risk ratio): per-stratum
 /// Wilson intervals and 2×2 joint tables, exactly-weighted combined
 /// rates, the paired (covariance-aware) risk-ratio CI with its unpaired
 /// and jackknife companions, and the stratified between-arm covariance.

@@ -7,7 +7,7 @@
 //! evaluates 200 × 5 genomes at 100 stochastic simulations each, and the
 //! Monte-Carlo baseline it complements burns even larger budgets chasing
 //! rare events. Before this engine existed, each consumer looped on its
-//! own — `MonteCarloEstimator` serially, the GA through its private
+//! own — the Monte-Carlo estimate serially, the GA through its private
 //! thread code — and every single run paid two boxed-avoider
 //! constructions. The engine centralizes all of it:
 //!
@@ -33,7 +33,7 @@
 //!   the same path [`crate::EncounterRunner::run_once_with`] takes, so a
 //!   batch outcome is the single-run outcome by construction.
 //!
-//! Consumers in this crate: [`crate::MonteCarloEstimator`] (paired
+//! Consumers in this crate: [`crate::CampaignPlanner`] (paired
 //! campaigns), [`crate::FitnessFunction`] (per-genome evaluation, used by
 //! [`crate::SearchHarness`]), and [`crate::EncounterRunner::run_repeated`]
 //! (the serial fast path over one warm scratch).

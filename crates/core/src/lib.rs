@@ -20,9 +20,11 @@
 //! * [`SearchHarness`]: the GA loop of Fig. 3 (scenario generator →
 //!   simulation → fitness → evolve), with a budget-matched
 //!   [`random search`](SearchHarness::run_random_search) baseline,
-//! * [`MonteCarloEstimator`]: the classical estimation loop the paper
-//!   contrasts against, with risk ratios and Wilson confidence intervals,
-//! * [`CampaignPlanner`]: adaptive stratified Monte-Carlo — a pilot round
+//! * [`CampaignPlanner`]: stratified Monte-Carlo over the statistical
+//!   encounter model. [`run_uniform`](CampaignPlanner::run_uniform) at
+//!   `target_half_width = ∞` is the paper's fixed-budget estimate (NMAC
+//!   and alert rates with intervals, and a paired risk-ratio CI);
+//!   [`run`](CampaignPlanner::run) is the adaptive variant — a pilot round
 //!   over a geometry × CPA-band [`uavca_encounter::Stratification`], then
 //!   Neyman reallocation of the remaining budget by each stratum's
 //!   contribution to the *paired* log-risk-ratio variance (the arms replay
@@ -57,8 +59,8 @@ mod campaign;
 mod engine;
 mod fitness;
 mod harness;
-mod montecarlo;
 mod multi;
+mod rate;
 mod report;
 mod rounds;
 mod runner;
@@ -74,12 +76,12 @@ pub use campaign::{
 pub use engine::{BatchRunner, PairedJob, PairedOutcome, SimEngine, SimJob};
 pub use fitness::{FitnessFunction, FitnessKind};
 pub use harness::{SearchConfig, SearchHarness, SearchOutcome};
-pub use montecarlo::{MonteCarloConfig, MonteCarloEstimate, MonteCarloEstimator, RateEstimate};
 pub use multi::{
     DensityEstimate, Multi, MultiCampaignOutcome, MultiCampaignPlanner, MultiCampaignStepper,
     MultiJob, MultiPairedOutcome, MultiRoundSummary, MultiRunScratch, MultiSource,
     MultiStratifiedEstimate, MultiStratumEstimate, MultiStratumTally,
 };
+pub use rate::RateEstimate;
 pub use report::{
     campaign_convergence_table, campaign_shard_table, campaign_stratum_table,
     split_convergence_table, split_stratum_table, ShardUsage, TextTable,

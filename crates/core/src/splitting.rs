@@ -67,7 +67,7 @@ use uavca_exec::{Backend, Executor};
 use uavca_sim::{EncounterOutcome, NMAC_HORIZONTAL_FT};
 
 use crate::campaign::{RatioEstimate, WeightedRate, Z95};
-use crate::montecarlo::{finite_or_null, float_or};
+use crate::rate::{finite_or_null, float_or};
 use crate::rounds::{Family, PlannedRound, ResumeError, RoundStepper, Schedule};
 use crate::{BatchRunner, EncounterRunner, RateEstimate};
 

@@ -9,7 +9,7 @@ use std::sync::{Arc, OnceLock};
 
 use uavca_acasx::{AcasConfig, LogicTable};
 use uavca_encounter::Stratification;
-use uavca_validation::{CampaignConfig, CampaignPlanner, EncounterRunner};
+use uavca_validation::{BatchRunner, CampaignConfig, CampaignPlanner, EncounterRunner};
 
 fn runner() -> EncounterRunner {
     static TABLE: OnceLock<Arc<LogicTable>> = OnceLock::new();
@@ -66,6 +66,44 @@ fn uniform_baseline_is_identical_across_thread_counts() {
         .run_uniform()
         .expect("valid config");
     assert_eq!(parallel, reference);
+}
+
+/// The paper's fixed-N Monte-Carlo estimate is a uniform campaign at an
+/// infinite target: it spends exactly its budget, flies one run per
+/// sampled encounter (so independent-trial intervals are honest), and
+/// shows the equipped logic cutting risk.
+#[test]
+fn fixed_budget_uniform_campaign_flies_one_run_per_encounter() {
+    let planner = CampaignPlanner::new(runner(), config(0));
+    let mut stepper = planner.uniform_stepper().expect("valid config");
+    let batch = BatchRunner::serial(runner());
+    let mut params = Vec::new();
+    while let Some(planned) = stepper.plan_round() {
+        params.extend(planned.jobs.iter().map(|job| job.params));
+        stepper.complete_round(&planned, &batch.run_paired(&planned.jobs));
+    }
+    let outcome = stepper.outcome();
+    assert_eq!(outcome, planner.run_uniform().expect("valid config"));
+
+    let c = planner.current_config();
+    let strata = planner.current_stratification().num_strata();
+    let budget = c.pilot_per_stratum * strata + c.round_runs * c.max_rounds;
+    assert_eq!(outcome.total_runs(), budget);
+    assert!(!outcome.reached_target);
+
+    assert_eq!(params.len(), budget);
+    for (i, p) in params.iter().enumerate() {
+        assert!(
+            !params[i + 1..].contains(p),
+            "job {i}'s encounter is flown twice"
+        );
+    }
+
+    let risk_ratio = outcome.estimate.risk_ratio.ratio;
+    assert!(
+        risk_ratio < 0.5,
+        "equipped NMAC rate must be well below unequipped: {risk_ratio}"
+    );
 }
 
 /// The sharded service's oracle: a campaign executed across N shard

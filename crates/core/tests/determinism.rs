@@ -7,30 +7,13 @@ use std::sync::{Arc, OnceLock};
 use uavca_acasx::{AcasConfig, LogicTable};
 use uavca_exec::Executor;
 use uavca_validation::{
-    BatchRunner, EncounterRunner, Equipage, MonteCarloConfig, MonteCarloEstimator, SearchConfig,
-    SearchHarness, SimJob,
+    BatchRunner, EncounterRunner, Equipage, SearchConfig, SearchHarness, SimJob,
 };
 
 fn runner() -> EncounterRunner {
     static TABLE: OnceLock<Arc<LogicTable>> = OnceLock::new();
     let table = TABLE.get_or_init(|| Arc::new(LogicTable::solve(&AcasConfig::coarse())));
     EncounterRunner::new(table.clone())
-}
-
-#[test]
-fn monte_carlo_estimate_is_identical_across_thread_counts() {
-    let base = MonteCarloConfig {
-        num_encounters: 30,
-        runs_per_encounter: 2,
-        seed: 5,
-        threads: 1,
-    };
-    let reference = MonteCarloEstimator::new(runner(), base).estimate();
-    for threads in [2, 3, 8, 0] {
-        let config = MonteCarloConfig { threads, ..base };
-        let estimate = MonteCarloEstimator::new(runner(), config).estimate();
-        assert_eq!(estimate, reference, "threads = {threads}");
-    }
 }
 
 #[test]

@@ -10,7 +10,8 @@
 //! * [`CollisionAvoider`]: the trait that plugs an avoidance logic (ACAS
 //!   XU-like, SVO, or nothing) into a UAV,
 //! * maneuver [`coordination`](MultiCoordinationBoard) between the aircraft,
-//! * monitors — the paper's *Proximity Measurer* and *Accident Detector* —
+//! * monitors — the paper's *Proximity Measurer* and *Accident Detector*
+//!   (an NMAC latch checked along each step's straight-line motion) —
 //!   aggregated into an [`EncounterOutcome`], and
 //! * [`MultiEncounterWorld`]: the headless step loop for any number of
 //!   aircraft, with the paired twin run, snapshot/branch for importance
@@ -67,9 +68,7 @@ pub use multi::{
     WorldSnapshot,
 };
 
-pub use monitors::{
-    nmac_severity, AccidentDetector, ProximityMeasurer, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT,
-};
+pub use monitors::{nmac_severity, ProximityMeasurer, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT};
 pub use outcome::EncounterOutcome;
 pub use trace::{Trace, TraceStep};
 pub use tracker::AlphaBetaTracker;

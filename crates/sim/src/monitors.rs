@@ -95,42 +95,6 @@ impl ProximityMeasurer {
     }
 }
 
-/// The paper's *Accident Detector*: latches when the two aircraft are
-/// simultaneously within the NMAC cylinder (500 ft horizontally **and**
-/// 100 ft vertically).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct AccidentDetector {
-    nmac: bool,
-    first_nmac_time_s: Option<f64>,
-}
-
-impl AccidentDetector {
-    /// Creates a detector with no accident recorded.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks the NMAC condition at time `time_s`.
-    pub fn observe(&mut self, a: &UavState, b: &UavState, time_s: f64) {
-        let horizontal = a.position.horizontal_distance(b.position);
-        let vertical = (a.position.z - b.position.z).abs();
-        if horizontal < NMAC_HORIZONTAL_FT && vertical < NMAC_VERTICAL_FT && !self.nmac {
-            self.nmac = true;
-            self.first_nmac_time_s = Some(time_s);
-        }
-    }
-
-    /// Whether an NMAC has occurred in this run.
-    pub fn nmac(&self) -> bool {
-        self.nmac
-    }
-
-    /// Time of the first NMAC, if one occurred.
-    pub fn first_nmac_time_s(&self) -> Option<f64> {
-        self.first_nmac_time_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,37 +142,5 @@ mod tests {
         assert!(nmac_severity(499.0, 100.0) >= 1.0);
         assert!(nmac_severity(500.0, 99.0) >= 1.0);
         assert!(nmac_severity(0.0, 0.0) == 0.0);
-    }
-
-    #[test]
-    fn nmac_requires_both_thresholds_simultaneously() {
-        let mut d = AccidentDetector::new();
-        // Horizontally close but vertically separated: no NMAC.
-        d.observe(&at(0.0, 0.0, 0.0), &at(100.0, 0.0, 400.0), 0.0);
-        assert!(!d.nmac());
-        // Vertically close but horizontally separated: no NMAC.
-        d.observe(&at(0.0, 0.0, 0.0), &at(2000.0, 0.0, 10.0), 1.0);
-        assert!(!d.nmac());
-        // Both: NMAC.
-        d.observe(&at(0.0, 0.0, 0.0), &at(300.0, 0.0, 50.0), 2.0);
-        assert!(d.nmac());
-        assert_eq!(d.first_nmac_time_s(), Some(2.0));
-    }
-
-    #[test]
-    fn nmac_latches_first_time() {
-        let mut d = AccidentDetector::new();
-        d.observe(&at(0.0, 0.0, 0.0), &at(0.0, 0.0, 0.0), 3.0);
-        d.observe(&at(0.0, 0.0, 0.0), &at(0.0, 0.0, 0.0), 9.0);
-        assert_eq!(d.first_nmac_time_s(), Some(3.0));
-    }
-
-    #[test]
-    fn thresholds_are_strict_boundaries() {
-        let mut d = AccidentDetector::new();
-        d.observe(&at(0.0, 0.0, 0.0), &at(NMAC_HORIZONTAL_FT, 0.0, 0.0), 0.0);
-        assert!(!d.nmac(), "exactly on the horizontal boundary is not NMAC");
-        d.observe(&at(0.0, 0.0, 0.0), &at(0.0, 0.0, NMAC_VERTICAL_FT), 1.0);
-        assert!(!d.nmac(), "exactly on the vertical boundary is not NMAC");
     }
 }

@@ -550,4 +550,12 @@ mod tests {
             Some(0.0)
         );
     }
+
+    #[test]
+    fn segment_nmac_thresholds_are_strict_boundaries() {
+        let on_horizontal = Vec3::new(NMAC_HORIZONTAL_FT, 0.0, 0.0);
+        assert_eq!(segment_nmac(on_horizontal, on_horizontal), None);
+        let on_vertical = Vec3::new(0.0, 0.0, NMAC_VERTICAL_FT);
+        assert_eq!(segment_nmac(on_vertical, on_vertical), None);
+    }
 }
