@@ -5,9 +5,7 @@
 //!
 //! `cargo run --release -p uavca-bench --bin fig2_toy_policy`
 
-// Experiment binary: wall-clock timing is the point (audit rule A2
-// carves the bench crate out the same way).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "wall-clock timing is the point")]
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uavca_ca2d::{estimate_collision_probability, Ca2dConfig, Ca2dSystem};

@@ -10,9 +10,7 @@
 //!
 //! `cargo run --release -p uavca-bench --bin fig6_ga_fitness [--full]`
 
-// Experiment binary: wall-clock timing is the point (audit rule A2
-// carves the bench crate out the same way).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "wall-clock timing is the point")]
 use uavca_bench::{full_scale, runner_for_scale, seed_arg};
 use uavca_validation::{FitnessKind, SearchConfig, SearchHarness, TextTable};
 

@@ -11,9 +11,7 @@
 //!
 //! `cargo run --release -p uavca-bench --bin horizon_ablation [--full]`
 
-// Experiment binary: wall-clock timing is the point (audit rule A2
-// carves the bench crate out the same way).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "wall-clock timing is the point")]
 use std::sync::Arc;
 
 use uavca_acasx::{AcasConfig, LogicTable};

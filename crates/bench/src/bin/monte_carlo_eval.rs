@@ -11,9 +11,7 @@
 //!
 //! `cargo run --release -p uavca-bench --bin monte_carlo_eval [--full] [--seed N]`
 
-// Experiment binary: wall-clock timing is the point (audit rule A2
-// carves the bench crate out the same way).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "wall-clock timing is the point")]
 use uavca_bench::{full_scale, runner_for_scale, seed_arg};
 use uavca_validation::{CampaignConfig, CampaignPlanner, TextTable};
 

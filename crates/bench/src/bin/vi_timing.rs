@@ -6,9 +6,7 @@
 //!
 //! `cargo run --release -p uavca-bench --bin vi_timing [--full]`
 
-// Experiment binary: wall-clock timing is the point (audit rule A2
-// carves the bench crate out the same way).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "wall-clock timing is the point")]
 use uavca_acasx::{AcasConfig, LogicTable};
 use uavca_bench::full_scale;
 use uavca_validation::TextTable;

@@ -7,9 +7,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-// The bench harness exists to read the wall clock (audit rule A2
-// carves it out the same way).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "a harness reads the wall clock")]
 use std::sync::Arc;
 
 use uavca_acasx::{AcasConfig, LogicTable};

@@ -87,17 +87,23 @@ pub fn cluster_scenarios(
     for _ in 0..50 {
         let mut changed = false;
         for (i, p) in points.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "min_by over k >= 1 centroids always yields one"
+            )]
             let best = centroids
                 .iter()
                 .enumerate()
                 .min_by(|a, b| {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "squared distances of finite parameters always compare"
+                    )]
                     squared_distance(p, a.1)
                         .partial_cmp(&squared_distance(p, b.1))
-                        // audit: allow(panic_policy, squared distances of finite parameters always compare)
                         .expect("finite coordinates")
                 })
                 .map(|(j, _)| j)
-                // audit: allow(panic_policy, min_by over k >= 1 centroids always yields one)
                 .expect("at least one centroid");
             if assignment[i] != best {
                 assignment[i] = best;
@@ -136,17 +142,20 @@ pub fn cluster_scenarios(
         let centroid_params = EncounterParams::from_slice(&space.denormalize(centroid));
         // BTreeMap, not HashMap: the counts feed `dominant_class`, and
         // any order-sensitive consumer of a per-instance-seeded map is
-        // a silent nondeterminism (audit rule A1).
+        // a silent nondeterminism (lint rule A1).
         let mut counts = std::collections::BTreeMap::new();
         for &i in &members {
             let params = EncounterParams::from_slice(&scenarios[i].0);
             *counts.entry(classify(&params)).or_insert(0usize) += 1;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "GeometryClass::ALL is a non-empty const"
+        )]
         let dominant_class = GeometryClass::ALL
             .iter()
             .copied()
             .max_by_key(|c| counts.get(c).copied().unwrap_or(0))
-            // audit: allow(panic_policy, GeometryClass::ALL is a non-empty const)
             .expect("non-empty class list");
         clusters.push(ScenarioCluster {
             centroid: centroid_params,
@@ -156,7 +165,10 @@ pub fn cluster_scenarios(
             members,
         });
     }
-    // audit: allow(panic_policy, mean fitness of a non-empty cluster is finite)
+    #[expect(
+        clippy::expect_used,
+        reason = "mean fitness of a non-empty cluster is finite"
+    )]
     clusters.sort_by(|a, b| b.mean_fitness.partial_cmp(&a.mean_fitness).expect("finite"));
     clusters
 }
@@ -319,7 +331,7 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Regression for the audit A1 fix: the class-count pass used a
+    /// Regression for the A1 fix: the class-count pass used a
     /// `HashMap`, which made any future order-sensitive consumer a
     /// latent nondeterminism. With `BTreeMap` + the `GeometryClass::ALL`
     /// scan, a dominant-class *tie* must resolve identically on every

@@ -57,7 +57,7 @@
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::{StatisticalEncounterModel, Stratification, Stratum};
-use uavca_exec::{Backend, Executor};
+use uavca_exec::Executor;
 
 use crate::rate::{finite_or_null, float_or};
 use crate::rounds::{Family, PlannedRound, ResumeError, RoundStepper, Schedule};
@@ -905,7 +905,7 @@ pub trait PairSource {
     fn run_pairs(&self, jobs: &[PairedJob]) -> Vec<PairedOutcome>;
 }
 
-impl<B: Backend> PairSource for BatchRunner<B> {
+impl PairSource for BatchRunner {
     fn run_pairs(&self, jobs: &[PairedJob]) -> Vec<PairedOutcome> {
         self.run_paired(jobs)
     }
@@ -981,7 +981,10 @@ pub(crate) fn apportion(scores: &[f64], budget: usize) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         let fa = quotas[a] - quotas[a].floor();
         let fb = quotas[b] - quotas[b].floor();
-        // audit: allow(panic_policy, fractional parts of finite quotas are finite)
+        #[expect(
+            clippy::expect_used,
+            reason = "fractional parts of finite quotas are finite"
+        )]
         fb.partial_cmp(&fa).expect("finite quotas").then(a.cmp(&b))
     });
     for &i in order.iter().take(budget.saturating_sub(assigned)) {

@@ -40,7 +40,7 @@
 
 use serde::{Deserialize, Serialize};
 use uavca_encounter::EncounterParams;
-use uavca_exec::{Backend, Executor};
+use uavca_exec::Executor;
 use uavca_sim::EncounterOutcome;
 
 use crate::splitting::{SplitJob, SplitOutcome};
@@ -108,22 +108,25 @@ pub enum SimEngine {
     },
 }
 
-/// Executes batches of simulation jobs on a local execution backend
-/// (by default the shared [`Executor`] worker pool), with deterministic
-/// (thread-count-independent) results and per-worker allocation reuse.
+/// Executes batches of simulation jobs on an [`Executor`] worker pool,
+/// with deterministic (thread-count-independent) results and per-worker
+/// allocation reuse.
 ///
-/// The backend is the *closure-level* seam ([`uavca_exec::Backend`]):
-/// any strategy that can fan a borrowed function over a job slice in
-/// the caller's address space. Cross-process execution plugs in one
-/// layer up instead, at the job-level [`crate::PairSource`] /
-/// [`crate::SplitSource`] contracts this runner also satisfies.
+/// Cross-process execution plugs in one layer up, at the job-level
+/// [`crate::PairSource`] / [`crate::SplitSource`] contracts this runner
+/// also satisfies: jobs and outcomes are plain data, closures are not.
 #[derive(Debug, Clone)]
-pub struct BatchRunner<B: Backend = Executor> {
+pub struct BatchRunner {
     runner: EncounterRunner,
-    backend: B,
+    executor: Executor,
 }
 
 impl BatchRunner {
+    /// A batch runner fanning out on `executor`.
+    pub fn new(runner: EncounterRunner, executor: Executor) -> Self {
+        Self { runner, executor }
+    }
+
     /// A strictly in-thread batch runner (the right choice inside an
     /// already-parallel evaluation, e.g. per-genome fitness under the GA's
     /// population-level fan-out).
@@ -131,16 +134,9 @@ impl BatchRunner {
         Self::new(runner, Executor::serial())
     }
 
-    /// The executor in use (for the default executor-backed runner).
+    /// The executor in use.
     pub fn executor(&self) -> Executor {
-        self.backend
-    }
-}
-
-impl<B: Backend> BatchRunner<B> {
-    /// A batch runner fanning out on `backend`.
-    pub fn new(runner: EncounterRunner, backend: B) -> Self {
-        Self { runner, backend }
+        self.executor
     }
 
     /// The simulation engine batches run on: always
@@ -154,14 +150,9 @@ impl<B: Backend> BatchRunner<B> {
         &self.runner
     }
 
-    /// The execution backend in use.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
     /// Runs every job, returning outcomes in job order.
     pub fn run_batch(&self, jobs: &[SimJob]) -> Vec<EncounterOutcome> {
-        self.backend
+        self.executor
             .map_with(jobs, RunScratch::new, |scratch, job| {
                 self.runner
                     .run_once_reusing(&job.params, job.seed, job.equipage, scratch)
@@ -171,7 +162,7 @@ impl<B: Backend> BatchRunner<B> {
     /// Runs every paired job (equipped + unequipped on one seed, one
     /// scenario generation each), in job order.
     pub fn run_paired(&self, jobs: &[PairedJob]) -> Vec<PairedOutcome> {
-        self.backend
+        self.executor
             .map_with(jobs, RunScratch::new, |scratch, job| {
                 let (equipped, unequipped) =
                     self.runner.run_pair_reusing(&job.params, job.seed, scratch);
@@ -188,7 +179,7 @@ impl<B: Backend> BatchRunner<B> {
     /// [`crate::split_branch_seed`] rule), so batches stay bit-identical
     /// for any worker count.
     pub fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome> {
-        self.backend
+        self.executor
             .map_with(jobs, RunScratch::new, |scratch, job| {
                 self.runner.run_split_reusing(job, scratch)
             })
@@ -207,9 +198,7 @@ impl<B: Backend> BatchRunner<B> {
             BatchRunner::repeated_jobs(params, self.runner.current_equipage(), runs, seed_base);
         self.run_batch(&jobs)
     }
-}
 
-impl BatchRunner {
     /// Builds the job list for `runs` repeats of one scenario.
     pub fn repeated_jobs(
         params: &EncounterParams,

@@ -211,7 +211,10 @@ impl SearchHarness {
         k: usize,
     ) -> Vec<FoundScenario> {
         let mut sorted: Vec<&uavca_evo::EvaluationRecord> = evaluations.iter().collect();
-        // audit: allow(panic_policy, fitness values are finite by GA evaluation contract)
+        #[expect(
+            clippy::expect_used,
+            reason = "fitness values are finite by GA evaluation contract"
+        )]
         sorted.sort_by(|a, b| b.fitness.partial_cmp(&a.fitness).expect("finite fitness"));
         let mut out: Vec<FoundScenario> = Vec::new();
         for rec in sorted {

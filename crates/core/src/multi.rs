@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use uavca_encounter::{
     MultiEncounterModel, MultiEncounterParams, MultiScenarioGenerator, MultiStratum,
 };
-use uavca_exec::{Backend, Executor};
+use uavca_exec::Executor;
 use uavca_sim::{MultiEncounterOutcome, MultiMode};
 
 use crate::rounds::{Family, PlannedRound, RoundStepper};
@@ -127,19 +127,19 @@ impl EncounterRunner {
     }
 }
 
-impl<B: Backend> BatchRunner<B> {
+impl BatchRunner {
     /// Runs multi-aircraft paired jobs in parallel, outcomes in job
     /// order. Each job is a pure function of its fields, so batches are
     /// bit-identical for any worker count.
     pub fn run_multis(&self, jobs: &[MultiJob]) -> Vec<MultiPairedOutcome> {
-        self.backend()
+        self.executor()
             .map_with(jobs, RunScratch::new, |scratch, job| {
                 self.runner().run_multi_pair_reusing(job, scratch)
             })
     }
 }
 
-impl<B: Backend> MultiSource for BatchRunner<B> {
+impl MultiSource for BatchRunner {
     fn run_multis(&self, jobs: &[MultiJob]) -> Vec<MultiPairedOutcome> {
         BatchRunner::run_multis(self, jobs)
     }

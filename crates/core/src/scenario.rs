@@ -22,7 +22,10 @@ impl ScenarioSpace {
 
     /// The GA genome bounds (9 genes in the canonical parameter order).
     pub fn bounds(&self) -> Bounds {
-        // audit: allow(panic_policy, ranges were validated when the space was built)
+        #[expect(
+            clippy::expect_used,
+            reason = "ranges were validated when the space was built"
+        )]
         Bounds::new(self.ranges.bounds.to_vec()).expect("ranges are well-formed intervals")
     }
 

@@ -63,7 +63,7 @@
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::{EncounterParams, StatisticalEncounterModel, Stratification, Stratum};
-use uavca_exec::{Backend, Executor};
+use uavca_exec::Executor;
 use uavca_sim::{EncounterOutcome, NMAC_HORIZONTAL_FT};
 
 use crate::campaign::{RatioEstimate, WeightedRate, Z95};
@@ -118,7 +118,7 @@ pub trait SplitSource {
     fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome>;
 }
 
-impl<B: Backend> SplitSource for BatchRunner<B> {
+impl SplitSource for BatchRunner {
     fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome> {
         self.run_splits(jobs)
     }
@@ -267,8 +267,10 @@ impl SplitConfig {
         if self.max_branch == 0 {
             return Err(SplitConfigError::ZeroMaxBranch);
         }
-        // Negated so a NaN target is rejected alongside non-positive ones.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        #[expect(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "negated so a NaN target is rejected alongside non-positive ones"
+        )]
         if !(self.target_half_width > 0.0) {
             return Err(SplitConfigError::NonPositiveTargetHalfWidth);
         }

@@ -8,7 +8,7 @@ use crate::EncounterParams;
 /// approach situations").
 /// `Ord` follows declaration order (the order of [`GeometryClass::ALL`])
 /// so the class can key a `BTreeMap` — the workspace's order-stable
-/// substitute for hash maps in counting passes (audit rule A1).
+/// substitute for hash maps in counting passes (lint rule A1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum GeometryClass {
     /// Roughly opposed tracks (relative heading within 45° of 180°).

@@ -29,7 +29,7 @@ use std::f64::consts::PI;
 ///
 /// Classified from the *maximum pairwise circular bearing difference*
 /// of the scene (see [`classify_multi`]); `Ord` follows declaration
-/// order so the class can key a `BTreeMap` (audit rule A1).
+/// order so the class can key a `BTreeMap` (lint rule A1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum MultiGeometry {
     /// Shared corridor: all tracks nearly parallel (every pairwise
@@ -227,7 +227,7 @@ impl Default for MultiEncounterModel {
 
 /// One cell of the density × geometry stratification. `Ord` follows
 /// the canonical density-major stratum order so the stratum can key a
-/// `BTreeMap` (audit rule A1).
+/// `BTreeMap` (lint rule A1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MultiStratum {
     /// Index into [`MultiEncounterModel::densities`].

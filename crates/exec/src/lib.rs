@@ -30,65 +30,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The execution seam behind every local fan-out site: map a pure
-/// function over a job list and collect results **in job order**.
-///
-/// [`Executor`] is the canonical implementation (scoped worker threads
-/// with work stealing); consumers that hold a `Backend` instead of an
-/// `Executor` — such as `uavca_validation::BatchRunner` — can be handed
-/// alternative local execution strategies without code changes.
-///
-/// This trait is deliberately *closure-level*: `f` crosses into the
-/// backend as a borrowed function, so every implementation must run
-/// within the caller's address space. Distribution across processes or
-/// machines cannot satisfy this contract (closures do not serialize) —
-/// that seam is *job-level* and lives one layer up, at
-/// `uavca_validation`'s `PairSource`/`SplitSource` traits, where jobs and
-/// outcomes are plain serializable data.
-///
-/// # Contract
-///
-/// Implementations must guarantee what `Executor` guarantees:
-///
-/// * results are returned in item order, never completion order;
-/// * `f` is invoked exactly once per item;
-/// * scratch values (`map_with`) never influence results — which worker
-///   runs which job is scheduling-dependent.
-pub trait Backend: Sync {
-    /// Maps `f` over `items` with one worker-local scratch value,
-    /// created by `init` at most once per worker. See
-    /// [`Executor::map_with`].
-    fn map_with<T, S, O, I, F>(&self, items: &[T], init: I, f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &T) -> O + Sync;
-
-    /// Maps `f` over `items`, returning results in item order. See
-    /// [`Executor::map`].
-    fn map<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(&T) -> O + Sync,
-    {
-        self.map_with(items, || (), move |(), item| f(item))
-    }
-}
-
-impl Backend for Executor {
-    fn map_with<T, S, O, I, F>(&self, items: &[T], init: I, f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &T) -> O + Sync,
-    {
-        Executor::map_with(self, items, init, f)
-    }
-}
-
 /// A fan-out executor with a fixed degree of parallelism.
 ///
 /// `Executor` is a value, not a handle to live threads: it records how
@@ -217,26 +158,27 @@ mod tests {
 
     #[test]
     fn scratch_is_initialized_at_most_once_per_worker() {
-        static INITS: AtomicUsize = AtomicUsize::new(0);
         let items: Vec<usize> = (0..100).collect();
-        let threads = 4;
-        let got = Executor::new(threads).map_with(
-            &items,
-            || {
-                INITS.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |count, &i| {
-                *count += 1;
-                i + 1
-            },
-        );
-        assert_eq!(got, (1..=100).collect::<Vec<_>>());
-        assert!(
-            INITS.load(Ordering::Relaxed) <= threads,
-            "at most one scratch per worker, got {}",
-            INITS.load(Ordering::Relaxed)
-        );
+        for threads in [1, 4] {
+            let inits = AtomicUsize::new(0);
+            let got = Executor::new(threads).map_with(
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |count, &i| {
+                    *count += 1;
+                    i + 1
+                },
+            );
+            assert_eq!(got, (1..=100).collect::<Vec<_>>(), "threads = {threads}");
+            let inits = inits.load(Ordering::Relaxed);
+            assert!(
+                (1..=threads).contains(&inits),
+                "threads = {threads}: one scratch per worker at most, got {inits}"
+            );
+        }
     }
 
     #[test]
@@ -244,32 +186,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(Executor::default().map(&empty, |x| *x).is_empty());
         assert_eq!(Executor::new(0).map(&[41u32], |x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn backend_trait_dispatch_matches_inherent_methods() {
-        fn via_backend<B: Backend>(b: &B, items: &[u64]) -> Vec<u64> {
-            b.map(items, |x| x + 1)
-        }
-        let items: Vec<u64> = (0..97).collect();
-        assert_eq!(
-            via_backend(&Executor::new(3), &items),
-            Executor::new(3).map(&items, |x| x + 1)
-        );
-        // map_with through the trait object path keeps job order too.
-        fn sums<B: Backend>(b: &B, items: &[u64]) -> Vec<u64> {
-            b.map_with(
-                items,
-                || 0u64,
-                |acc, x| {
-                    *acc += x;
-                    *acc
-                },
-            )
-        }
-        let serial = sums(&Executor::serial(), &items);
-        assert_eq!(serial.len(), items.len());
-        assert_eq!(serial.last(), Some(&items.iter().sum::<u64>()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! lifecycle API over any transport.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use uavca_validation::EncounterRunner;
 
@@ -151,15 +151,11 @@ impl CampaignClient {
         id: CampaignId,
         mut on_round: impl FnMut(&RoundEvent),
     ) -> Result<CampaignResult, ServeError> {
-        // audit: allow(panic_policy, transport lock poisoning propagates a prior panic)
-        let mut transport = self.transport.lock().expect("client transport lock");
+        let mut transport = self.transport();
         // The subscription replays the campaign's full round trail, so
         // any stream events buffered from a prior subscription to the
         // same campaign are superseded.
-        self.pending
-            .lock()
-            // audit: allow(panic_policy, event buffer lock poisoning propagates a prior panic)
-            .expect("client event buffer lock")
+        self.pending()
             .retain(|e| Self::stream_campaign_id(e) != Some(id));
         send_msg(&mut **transport, &Request::Stream { id })?;
         loop {
@@ -172,7 +168,7 @@ impl CampaignClient {
                 Event::CampaignCancelled { id: got, .. } if got == id => {
                     return Err(ServeError::Server(format!("{got} was cancelled")));
                 }
-                other if Self::is_stream_event(&other) => self.buffer(other),
+                other if Self::is_stream_event(&other) => self.pending().push_back(other),
                 other => return Err(Self::fail(other)),
             }
         }
@@ -185,8 +181,7 @@ impl CampaignClient {
     /// Returns transport/protocol failures; the server may already be
     /// gone by the time the acknowledgement would arrive.
     pub fn shutdown(self) -> Result<(), ServeError> {
-        // audit: allow(panic_policy, transport lock poisoning propagates a prior panic)
-        let mut transport = self.transport.lock().expect("client transport lock");
+        let mut transport = self.transport();
         send_msg(&mut **transport, &Request::Shutdown)?;
         loop {
             match Self::expect_event(&mut **transport)? {
@@ -205,14 +200,13 @@ impl CampaignClient {
         request: &Request,
         mut matcher: impl FnMut(Event) -> Result<R, Box<Event>>,
     ) -> Result<R, ServeError> {
-        // audit: allow(panic_policy, transport lock poisoning propagates a prior panic)
-        let mut transport = self.transport.lock().expect("client transport lock");
+        let mut transport = self.transport();
         send_msg(&mut **transport, request)?;
         loop {
             let event = Self::expect_event(&mut **transport)?;
             match matcher(event) {
                 Ok(reply) => return Ok(reply),
-                Err(other) if Self::is_stream_event(&other) => self.buffer(*other),
+                Err(other) if Self::is_stream_event(&other) => self.pending().push_back(*other),
                 Err(other) => return Err(Self::fail(*other)),
             }
         }
@@ -234,12 +228,22 @@ impl CampaignClient {
         }
     }
 
-    fn buffer(&self, event: Event) {
-        self.pending
-            .lock()
-            // audit: allow(panic_policy, event buffer lock poisoning propagates a prior panic)
-            .expect("client event buffer lock")
-            .push_back(event);
+    /// Locks the transport.
+    fn transport(&self) -> MutexGuard<'_, Box<dyn Transport>> {
+        #[expect(
+            clippy::expect_used,
+            reason = "transport lock poisoning propagates a prior panic"
+        )]
+        self.transport.lock().expect("client transport lock")
+    }
+
+    /// Locks the buffer of events received for other requests.
+    fn pending(&self) -> MutexGuard<'_, VecDeque<Event>> {
+        #[expect(
+            clippy::expect_used,
+            reason = "event buffer lock poisoning propagates a prior panic"
+        )]
+        self.pending.lock().expect("client event buffer lock")
     }
 
     fn expect_event(transport: &mut dyn Transport) -> Result<Event, ServeError> {
@@ -272,7 +276,10 @@ impl InProcessServer {
     ///
     /// Panics if the server thread itself panicked.
     pub fn join(self) -> Result<SessionEnd, ServeError> {
-        // audit: allow(panic_policy, join re-raises the server thread panic as documented)
+        #[expect(
+            clippy::expect_used,
+            reason = "join re-raises the server thread panic as documented"
+        )]
         self.handle.join().expect("campaign server thread panicked")
     }
 }
@@ -292,10 +299,13 @@ pub fn spawn_in_process(
     let backend = ShardedBackend::spawn_local(runner.clone(), shards, threads_per_shard);
     let server = CampaignServer::new(runner, backend);
     let (client_end, mut server_end) = channel_pair();
+    #[expect(
+        clippy::expect_used,
+        reason = "thread spawn fails only on OS resource exhaustion"
+    )]
     let handle = std::thread::Builder::new()
         .name("uavca-campaign-server".to_string())
         .spawn(move || server.serve(&mut server_end))
-        // audit: allow(panic_policy, thread spawn fails only on OS resource exhaustion)
         .expect("spawning the campaign server thread");
     (CampaignClient::new(client_end), InProcessServer { handle })
 }

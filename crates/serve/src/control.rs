@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize, Value};
 use uavca_encounter::Stratification;
@@ -305,10 +305,18 @@ impl EventLog {
         Self::default()
     }
 
+    /// Locks the retained events.
+    fn lock(&self) -> MutexGuard<'_, Vec<ControlEvent>> {
+        #[expect(
+            clippy::expect_used,
+            reason = "event log lock poisoning propagates a prior panic"
+        )]
+        self.inner.lock().expect("event log poisoned")
+    }
+
     /// Appends one event, dropping the oldest past the retention cap.
     pub fn record(&self, event: ControlEvent) {
-        // audit: allow(panic_policy, event log lock poisoning propagates a prior panic)
-        let mut log = self.inner.lock().expect("event log poisoned");
+        let mut log = self.lock();
         if log.len() >= EVENT_LOG_CAP {
             log.remove(0);
         }
@@ -317,15 +325,13 @@ impl EventLog {
 
     /// Removes and returns every retained event, oldest first.
     pub fn drain(&self) -> Vec<ControlEvent> {
-        // audit: allow(panic_policy, event log lock poisoning propagates a prior panic)
-        let mut log = self.inner.lock().expect("event log poisoned");
+        let mut log = self.lock();
         std::mem::take(&mut *log)
     }
 
     /// Returns a copy of every retained event without clearing the log.
     pub fn snapshot(&self) -> Vec<ControlEvent> {
-        // audit: allow(panic_policy, event log lock poisoning propagates a prior panic)
-        self.inner.lock().expect("event log poisoned").clone()
+        self.lock().clone()
     }
 }
 
@@ -761,9 +767,13 @@ impl ControlPlane {
             c.restarts += 1;
             c.inflight = None;
             let checkpoint = Self::engine_checkpoint(&c.engine);
-            c.engine = Self::build_engine(&runner, &c.spec, Some(&checkpoint))
-                // audit: allow(panic_policy, a checkpoint taken from a live engine always resumes)
+            #[expect(
+                clippy::expect_used,
+                reason = "a checkpoint taken from a live engine always resumes"
+            )]
+            let engine = Self::build_engine(&runner, &c.spec, Some(&checkpoint))
                 .expect("a checkpoint taken from a live engine must resume");
+            c.engine = engine;
             c.state = CampaignState::Running;
             self.log.record(ControlEvent::CampaignRestarted {
                 id: c.id,
@@ -790,10 +800,13 @@ impl ControlPlane {
     /// quantum of it on the backend, and completes the round when the
     /// last outcome lands.
     fn dispatch_quantum(&mut self, id: CampaignId, notices: &mut Vec<CampaignNotice>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the scheduler only picks ids present in the map"
+        )]
         let c = self
             .campaigns
             .get_mut(&id.0)
-            // audit: allow(panic_policy, the scheduler only picks ids present in the map)
             .expect("picked campaign exists");
         if c.inflight.is_none() {
             let planned = match &mut c.engine {
@@ -819,7 +832,10 @@ impl ControlPlane {
                 }
             }
         }
-        // audit: allow(panic_policy, inflight was set by the plan step immediately above)
+        #[expect(
+            clippy::expect_used,
+            reason = "inflight was set by the plan step immediately above"
+        )]
         let mut inflight = c.inflight.take().expect("round planned above");
         let step = match &mut inflight {
             Inflight::Paired { planned, outcomes } => {
@@ -865,7 +881,10 @@ impl ControlPlane {
                             summary: s.complete_round(&planned, &outcomes),
                         }
                     }
-                    // audit: allow(panic_policy, the inflight family was built from this engine family)
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the inflight family was built from this engine family"
+                    )]
                     _ => unreachable!("in-flight round family matches the engine family"),
                 };
                 notices.push(CampaignNotice::Round { id, round });

@@ -66,6 +66,17 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+// The panic policy: faults are typed values in these two crates, so a
+// panic in library code needs a local `#[expect(…, reason = …)]` saying
+// why it cannot fire or why crashing is the right response.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod client;
 pub mod control;

@@ -291,7 +291,10 @@ pub enum ShardEvent {
 
 /// Encodes a message as one wire line (JSON, no trailing newline).
 pub fn encode<T: Serialize>(msg: &T) -> String {
-    // audit: allow(panic_policy, the stand-in JSON writer has no fallible path)
+    #[expect(
+        clippy::expect_used,
+        reason = "the stand-in JSON writer has no fallible path"
+    )]
     let line = serde_json::to_string(msg).expect("the stand-in JSON writer is infallible");
     debug_assert!(
         !line.contains('\n'),

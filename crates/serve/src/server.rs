@@ -145,8 +145,11 @@ impl CampaignServer {
     pub fn serve(&self, transport: &mut dyn Transport) -> Result<SessionEnd, ServeError> {
         let session = Session::new(0, Box::new(transport) as Box<dyn Transport + '_>);
         let mut ends = self.run_loop(vec![session], None)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "run_loop records one end per session before returning"
+        )]
         ends.pop()
-            // audit: allow(panic_policy, run_loop records one end per session before returning)
             .expect("the single session records an end before the loop returns")
     }
 
@@ -400,9 +403,12 @@ impl CampaignServer {
         }
         match status.state {
             CampaignState::Finished => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the Finished state implies a stored result"
+                )]
                 let result = plane
                     .result(id)
-                    // audit: allow(panic_policy, the Finished state implies a stored result)
                     .expect("a finished campaign has a result")
                     .clone();
                 self.send_or_fail(session, &Event::CampaignFinished { id, result });

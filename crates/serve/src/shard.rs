@@ -13,14 +13,13 @@
 //! `ShardedBackend` satisfies the same job-level contracts as
 //! `BatchRunner` — [`PairSource`], [`SplitSource`] and [`MultiSource`] —
 //! so a `CampaignPlanner` (or any other batch consumer) cannot tell a
-//! shard fleet from a local worker pool except by wall clock. The
-//! closure-level [`uavca_exec::Backend`] seam is deliberately *not*
-//! implemented here: closures do not serialize, so distribution happens
-//! at the job level, where jobs and outcomes are plain data.
+//! shard fleet from a local worker pool except by wall clock.
+//! Distribution happens at the job level, where jobs and outcomes are
+//! plain data; closures do not serialize.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use uavca_exec::{Backend, Executor};
+use uavca_exec::Executor;
 use uavca_validation::{
     BatchRunner, EncounterRunner, MultiJob, MultiPairedOutcome, MultiSource, PairSource, PairedJob,
     PairedOutcome, ShardUsage, SplitJob, SplitOutcome, SplitSource,
@@ -173,10 +172,7 @@ impl std::error::Error for ShardFault {}
 /// Returns [`ServeError`] when a request fails to decode or the
 /// transport back to the coordinator fails; an orderly coordinator
 /// disconnect returns `Ok(())`.
-pub fn serve_shard<B: Backend, T: Transport>(
-    mut transport: T,
-    batch: BatchRunner<B>,
-) -> Result<(), ServeError> {
+pub fn serve_shard<T: Transport>(mut transport: T, batch: BatchRunner) -> Result<(), ServeError> {
     loop {
         let Some(request) = recv_msg::<ShardRequest>(&mut transport)? else {
             return Ok(());
@@ -236,9 +232,9 @@ pub fn serve_shard<B: Backend, T: Transport>(
 /// # Errors
 ///
 /// Returns accept/transport failures as [`ServeError`].
-pub fn serve_shard_tcp<B: Backend>(
+pub fn serve_shard_tcp(
     listener: std::net::TcpListener,
-    batch: BatchRunner<B>,
+    batch: BatchRunner,
 ) -> Result<(), ServeError> {
     let (stream, _) = listener
         .accept()
@@ -361,6 +357,10 @@ impl ShardedBackend {
         for k in 0..shards {
             let (coordinator_end, shard_end) = channel_pair();
             let batch = BatchRunner::new(runner.clone(), Executor::new(threads_per_shard));
+            #[expect(
+                clippy::expect_used,
+                reason = "thread spawn fails only on OS resource exhaustion"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("uavca-shard-{k}"))
                 .spawn(move || {
@@ -368,7 +368,6 @@ impl ShardedBackend {
                     // worker's shutdown signal, not a failure to report.
                     let _ = serve_shard(shard_end, batch);
                 })
-                // audit: allow(panic_policy, thread spawn fails only on OS resource exhaustion)
                 .expect("spawning a shard worker thread");
             transports.push(Box::new(coordinator_end) as Box<dyn Transport>);
             locals.push(handle);
@@ -392,12 +391,20 @@ impl ShardedBackend {
         Ok(Self::from_transports(transports))
     }
 
+    /// Locks the coordinator state.
+    fn coordinator(&self) -> MutexGuard<'_, Coordinator> {
+        #[expect(
+            clippy::expect_used,
+            reason = "coordinator lock poisoning propagates a prior panic"
+        )]
+        self.coordinator.lock().expect("coordinator lock")
+    }
+
     /// Per-shard usage counters (jobs completed, requeues, rejected
     /// duplicates) — the rows of
     /// [`uavca_validation::campaign_shard_table`].
     pub fn usage(&self) -> Vec<ShardUsage> {
-        // audit: allow(panic_policy, coordinator lock poisoning propagates a prior panic)
-        let coordinator = self.coordinator.lock().expect("coordinator lock");
+        let coordinator = self.coordinator();
         coordinator.slots.iter().map(|s| s.usage).collect()
     }
 
@@ -406,8 +413,7 @@ impl ShardedBackend {
     /// documents exactly which deliveries were rejected or requeued
     /// (none of which can have affected the merged results).
     pub fn take_faults(&self) -> Vec<ShardFault> {
-        // audit: allow(panic_policy, coordinator lock poisoning propagates a prior panic)
-        let mut coordinator = self.coordinator.lock().expect("coordinator lock");
+        let mut coordinator = self.coordinator();
         std::mem::take(&mut coordinator.faults)
     }
 
@@ -527,8 +533,7 @@ impl ShardedBackend {
         make_request: impl Fn(u64, &[(usize, J)]) -> ShardRequest,
         extract: impl Fn(ShardEvent) -> Option<(u64, Vec<usize>, Vec<O>)>,
     ) -> Result<Vec<O>, ServeError> {
-        // audit: allow(panic_policy, coordinator lock poisoning propagates a prior panic)
-        let mut co = self.coordinator.lock().expect("coordinator lock");
+        let mut co = self.coordinator();
         let co = &mut *co;
         let batch_id = co.next_batch;
         co.next_batch += 1;
@@ -735,9 +740,12 @@ impl ShardedBackend {
             }
         }
 
+        #[expect(
+            clippy::expect_used,
+            reason = "filled == len guarantees every slot is Some"
+        )]
         Ok(results
             .into_iter()
-            // audit: allow(panic_policy, filled == len guarantees every slot is Some)
             .map(|r| r.expect("filled == len ensures every slot is Some"))
             .collect())
     }
@@ -751,8 +759,11 @@ impl PairSource for ShardedBackend {
     /// [`ShardedBackend::try_run_pairs`] to handle fleet loss as a
     /// value.
     fn run_pairs(&self, jobs: &[PairedJob]) -> Vec<PairedOutcome> {
+        #[expect(
+            clippy::expect_used,
+            reason = "JobSource is infallible by contract; panic is documented"
+        )]
         self.try_run_pairs(jobs)
-            // audit: allow(panic_policy, JobSource is infallible by contract; panic is documented)
             .expect("shard fleet lost every member mid-batch")
     }
 }
@@ -763,8 +774,11 @@ impl SplitSource for ShardedBackend {
     /// Panics if every shard is lost with jobs outstanding; see
     /// [`ShardedBackend::try_run_splits`].
     fn run_splits(&self, jobs: &[SplitJob]) -> Vec<SplitOutcome> {
+        #[expect(
+            clippy::expect_used,
+            reason = "SplitSource is infallible by contract; panic is documented"
+        )]
         self.try_run_splits(jobs)
-            // audit: allow(panic_policy, SplitSource is infallible by contract; panic is documented)
             .expect("shard fleet lost every member mid-batch")
     }
 }
@@ -775,8 +789,11 @@ impl MultiSource for ShardedBackend {
     /// Panics if every shard is lost with jobs outstanding; see
     /// [`ShardedBackend::try_run_multis`].
     fn run_multis(&self, jobs: &[MultiJob]) -> Vec<MultiPairedOutcome> {
+        #[expect(
+            clippy::expect_used,
+            reason = "MultiSource is infallible by contract; panic is documented"
+        )]
         self.try_run_multis(jobs)
-            // audit: allow(panic_policy, MultiSource is infallible by contract; panic is documented)
             .expect("shard fleet lost every member mid-batch")
     }
 }
@@ -784,8 +801,7 @@ impl MultiSource for ShardedBackend {
 impl Drop for ShardedBackend {
     fn drop(&mut self) {
         {
-            // audit: allow(panic_policy, coordinator lock poisoning propagates a prior panic)
-            let mut co = self.coordinator.lock().expect("coordinator lock");
+            let mut co = self.coordinator();
             for slot in co.slots.iter_mut().filter(|s| s.alive) {
                 let _ = slot
                     .transport

@@ -12,7 +12,12 @@
 //! no-early-stop sentinel in `CampaignConfig`. Every encoded line is
 //! also checked to be *strict* JSON — no bare `NaN`/`Infinity` literal
 //! may reach the wire.
+//!
+//! Coverage of the wire enums is checked at compile time: an exhaustive
+//! match per enum numbers its variants, and one test round-trips a
+//! sample of every number, so a new variant without a sample fails.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -181,6 +186,42 @@ fn round_summary(est: &StratifiedEstimate, round: usize) -> RoundSummary {
     }
 }
 
+/// Rigged k-aircraft outcomes shaped by the job itself, biased to cover
+/// NMAC/no-NMAC pairs and present/absent alert times.
+fn rigged_multi(job: &MultiJob) -> MultiPairedOutcome {
+    let rig = |salt: u64| -> MultiEncounterOutcome {
+        let k = job.params.num_aircraft();
+        let h = job.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+        let mut pair_records = Vec::new();
+        for a in 0..k {
+            for b in (a + 1)..k {
+                let nmac = (h >> (a + b)).is_multiple_of(3);
+                pair_records.push(PairOutcome {
+                    a,
+                    b,
+                    nmac,
+                    first_nmac_time_s: nmac.then_some((h % 60) as f64),
+                    min_separation_ft: (h % 5000) as f64,
+                    min_horizontal_ft: (h % 4000) as f64,
+                    min_vertical_ft: (h % 900) as f64,
+                    time_of_min_s: (h % 120) as f64,
+                });
+            }
+        }
+        MultiEncounterOutcome {
+            pairs: pair_records,
+            alert_steps: (0..k).map(|i| (h >> i) as usize % 40).collect(),
+            reversals: (0..k).map(|i| (h >> i) as usize % 3).collect(),
+            first_alert_time_s: h.is_multiple_of(2).then_some((h % 30) as f64),
+            duration_s: 60.0 + (h % 60) as f64,
+        }
+    };
+    MultiPairedOutcome {
+        equipped: rig(1),
+        unequipped: rig(2),
+    }
+}
+
 /// Deterministic fake splitting outcomes: pure hashes of the root seed
 /// with ladder-consistent stage vectors, so real steppers can emit
 /// checkpoint/round/result values for the wire without simulation cost.
@@ -230,7 +271,6 @@ proptest! {
         let paired_jobs: Vec<PairedJob> = (0..k % 5)
             .map(|i| PairedJob { params: params(p), seed: seed.wrapping_add(i as u64) })
             .collect();
-        roundtrip(&Request::Shutdown);
 
         // The shard-level framing of paired jobs.
         roundtrip(&ShardRequest::RunPaired {
@@ -241,7 +281,6 @@ proptest! {
                 .map(|(index, &job)| IndexedPairedJob { index, job })
                 .collect(),
         });
-        roundtrip(&ShardRequest::Shutdown);
     }
 
     /// The k-aircraft shard dialect: [`ShardRequest::RunMultis`] with
@@ -279,44 +318,12 @@ proptest! {
                 .collect(),
         });
 
-        // Rigged outcomes shaped by the jobs themselves, biased to cover
-        // NMAC/no-NMAC pairs and present/absent alert times.
-        let rig = |job: &MultiJob, salt: u64| -> MultiEncounterOutcome {
-            let k = job.params.num_aircraft();
-            let h = job.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
-            let mut pair_records = Vec::new();
-            for a in 0..k {
-                for b in (a + 1)..k {
-                    let nmac = (h >> (a + b)).is_multiple_of(3);
-                    pair_records.push(PairOutcome {
-                        a,
-                        b,
-                        nmac,
-                        first_nmac_time_s: nmac.then_some((h % 60) as f64),
-                        min_separation_ft: (h % 5000) as f64,
-                        min_horizontal_ft: (h % 4000) as f64,
-                        min_vertical_ft: (h % 900) as f64,
-                        time_of_min_s: (h % 120) as f64,
-                    });
-                }
-            }
-            MultiEncounterOutcome {
-                pairs: pair_records,
-                alert_steps: (0..k).map(|i| (h >> i) as usize % 40).collect(),
-                reversals: (0..k).map(|i| (h >> i) as usize % 3).collect(),
-                first_alert_time_s: h.is_multiple_of(2).then_some((h % 30) as f64),
-                duration_s: 60.0 + (h % 60) as f64,
-            }
-        };
         roundtrip(&ShardEvent::MultiChunk {
             batch: seed,
             indices: (0..jobs.len()).map(|i| i * 3 + 1).collect(),
             outcomes: jobs
                 .iter()
-                .map(|job| MultiPairedOutcome {
-                    equipped: rig(job, 1),
-                    unequipped: rig(job, 2),
-                })
+                .map(rigged_multi)
                 .collect(),
         });
     }
@@ -373,7 +380,6 @@ proptest! {
             })
             .collect();
         roundtrip(&Event::Error { message: "shard fleet \"lost\"\nentirely".to_string() });
-        roundtrip(&Event::ShutdownAck);
         if let Some(&first) = paired.first() {
             // A single-job chunk, as a shard delivering one result at a
             // time sends it.
@@ -617,10 +623,18 @@ proptest! {
     }
 }
 
-/// The same fixed-point oracle through a real TCP socket: what the
-/// framing writes, a socket peer reads back byte-identically.
-#[test]
-fn every_message_kind_survives_a_real_socket() {
+/// One message of every wire variant, with the values the proptests
+/// bias toward: undefined estimates, the no-early-stop sentinel, real
+/// splitting stepper state and non-contiguous chunk indices.
+struct Samples {
+    requests: Vec<Request>,
+    events: Vec<Event>,
+    shard_requests: Vec<ShardRequest>,
+    shard_events: Vec<ShardEvent>,
+}
+
+fn samples() -> Samples {
+    let id = CampaignId(3);
     let est = estimate(&[(2, 1, 3, 30), (0, 0, 0, 0)]);
     // A splitting campaign checkpointed after its pilot round — real
     // stepper state for the lifecycle messages below.
@@ -648,117 +662,252 @@ fn every_message_kind_survives_a_real_socket() {
     let split_ckpt = Checkpoint::Splitting {
         checkpoint: stepper.checkpoint(),
     };
-    let lines: Vec<String> = vec![
-        encode(&ShardRequest::RunPaired {
-            batch: 6,
-            jobs: vec![IndexedPairedJob {
-                index: 0,
-                job: PairedJob {
-                    params: params((100.0, 0.0, 30.0, 500.0, 1.0, 100.0)),
-                    seed: u64::MAX,
-                },
-            }],
-        }),
-        encode(&Request::Create {
-            spec: Box::new(CampaignSpec::Paired {
-                request: CampaignRequest {
-                    config: CampaignConfig {
-                        target_half_width: f64::INFINITY,
-                        ..CampaignConfig::default()
+    let split_job = SplitJob {
+        params: params((100.0, 0.0, 30.0, 500.0, 1.0, 100.0)),
+        seed: 5,
+        levels: vec![2000.0, 900.0],
+        branches: vec![2, 3],
+    };
+    let model = MultiEncounterModel::default();
+    let multi_job = MultiJob {
+        params: model.sample_in(model.strata()[0], &mut StdRng::seed_from_u64(9)),
+        seed: 9,
+        mode: MultiMode::Coordinated,
+    };
+    Samples {
+        requests: vec![
+            Request::Create {
+                spec: Box::new(CampaignSpec::Paired {
+                    request: CampaignRequest {
+                        config: CampaignConfig {
+                            target_half_width: f64::INFINITY,
+                            ..CampaignConfig::default()
+                        },
+                        model: Default::default(),
+                        cpa_bins: 3,
+                        uniform: false,
                     },
-                    model: Default::default(),
-                    cpa_bins: 3,
-                    uniform: false,
-                },
-            }),
-            checkpoint: None,
-        }),
-        encode(&Event::CampaignRound {
-            id: CampaignId(2),
-            round: RoundEvent::Paired {
-                summary: round_summary(&est, 0),
+                }),
+                checkpoint: None,
             },
-        }),
-        encode(&Event::CampaignFinished {
-            id: CampaignId(2),
-            result: CampaignResult::Paired {
-                outcome: CampaignOutcome {
-                    estimate: est,
-                    rounds: Vec::new(),
-                    reached_target: false,
+            Request::Create {
+                spec: Box::new(CampaignSpec::Splitting {
+                    request: split_request,
+                }),
+                checkpoint: Some(split_ckpt.clone()),
+            },
+            Request::Stream { id },
+            Request::Cancel { id },
+            Request::Status { id },
+            Request::Pause { id },
+            Request::Resume { id },
+            Request::Shutdown,
+        ],
+        events: vec![
+            Event::CampaignRound {
+                id: CampaignId(2),
+                round: RoundEvent::Paired {
+                    summary: round_summary(&est, 0),
                 },
             },
-        }),
-        encode(&Event::Error {
-            message: CampaignConfigError::ZeroRounds.to_string(),
-        }),
-        encode(&ShardRequest::Shutdown),
-        encode(&ShardEvent::PairedChunk {
-            batch: 7,
-            indices: vec![0],
-            outcomes: vec![PairedOutcome {
-                equipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
-                unequipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
-            }],
-        }),
-        encode(&ShardEvent::PairedChunk {
-            batch: 8,
-            indices: vec![1, 4, 7],
-            outcomes: vec![
-                PairedOutcome {
-                    equipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
-                    unequipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
-                },
-                PairedOutcome {
-                    equipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
-                    unequipped: outcome((7.0, 1.5, 0.25, 0, 3, 1)),
-                },
-                PairedOutcome {
-                    equipped: outcome((7.0, 1.5, 0.25, 0, 3, 1)),
-                    unequipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
-                },
-            ],
-        }),
-        // The control-plane lifecycle dialect.
-        encode(&Request::Create {
-            spec: Box::new(CampaignSpec::Splitting {
-                request: split_request,
-            }),
-            checkpoint: Some(split_ckpt.clone()),
-        }),
-        encode(&Request::Stream { id: CampaignId(3) }),
-        encode(&Request::Cancel { id: CampaignId(3) }),
-        encode(&Event::CampaignCreated { id: CampaignId(3) }),
-        encode(&Event::CampaignRound {
-            id: CampaignId(3),
-            round: RoundEvent::Splitting {
-                summary: split_summary,
-            },
-        }),
-        encode(&Event::CampaignCancelled {
-            id: CampaignId(3),
-            checkpoint: split_ckpt,
-        }),
-        encode(&Event::CampaignStatus {
-            status: CampaignStatus {
-                id: CampaignId(3),
-                state: CampaignState::Paused,
-                rounds_completed: 1,
-                jobs_done: 4,
-                restarts: 1,
-                last_error: Some(String::from("every shard was lost with 4 jobs outstanding")),
-                checkpoint: Checkpoint::Paired {
-                    checkpoint: CampaignCheckpoint {
-                        next_round: 0,
-                        adaptive: true,
-                        tallies: Vec::new(),
+            Event::CampaignFinished {
+                id: CampaignId(2),
+                result: CampaignResult::Paired {
+                    outcome: CampaignOutcome {
+                        estimate: est,
                         rounds: Vec::new(),
                         reached_target: false,
                     },
                 },
             },
-        }),
-    ];
+            Event::Error {
+                message: CampaignConfigError::ZeroRounds.to_string(),
+            },
+            Event::CampaignCreated { id },
+            Event::CampaignRound {
+                id,
+                round: RoundEvent::Splitting {
+                    summary: split_summary,
+                },
+            },
+            Event::CampaignCancelled {
+                id,
+                checkpoint: split_ckpt,
+            },
+            Event::CampaignStatus {
+                status: CampaignStatus {
+                    id,
+                    state: CampaignState::Paused,
+                    rounds_completed: 1,
+                    jobs_done: 4,
+                    restarts: 1,
+                    last_error: Some(String::from("every shard was lost with 4 jobs outstanding")),
+                    checkpoint: Checkpoint::Paired {
+                        checkpoint: CampaignCheckpoint {
+                            next_round: 0,
+                            adaptive: true,
+                            tallies: Vec::new(),
+                            rounds: Vec::new(),
+                            reached_target: false,
+                        },
+                    },
+                },
+            },
+            Event::CampaignFailed {
+                id,
+                message: "fleet \"lost\"\nmid-round".to_string(),
+            },
+            Event::CampaignPaused { id },
+            Event::CampaignResumed { id },
+            Event::ShutdownAck,
+        ],
+        shard_requests: vec![
+            ShardRequest::RunPaired {
+                batch: 6,
+                jobs: vec![IndexedPairedJob {
+                    index: 0,
+                    job: PairedJob {
+                        params: params((100.0, 0.0, 30.0, 500.0, 1.0, 100.0)),
+                        seed: u64::MAX,
+                    },
+                }],
+            },
+            ShardRequest::Shutdown,
+            ShardRequest::RunSplits {
+                batch: 9,
+                jobs: vec![IndexedSplitJob {
+                    index: 2,
+                    job: split_job.clone(),
+                }],
+            },
+            ShardRequest::RunMultis {
+                batch: 10,
+                jobs: vec![IndexedMultiJob {
+                    index: 1,
+                    job: multi_job.clone(),
+                }],
+            },
+        ],
+        shard_events: vec![
+            ShardEvent::PairedChunk {
+                batch: 7,
+                indices: vec![0],
+                outcomes: vec![PairedOutcome {
+                    equipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
+                    unequipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
+                }],
+            },
+            ShardEvent::PairedChunk {
+                batch: 8,
+                indices: vec![1, 4, 7],
+                outcomes: vec![
+                    PairedOutcome {
+                        equipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
+                        unequipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
+                    },
+                    PairedOutcome {
+                        equipped: outcome((0.5, 0.0, 9.0, 1, 0, 2)),
+                        unequipped: outcome((7.0, 1.5, 0.25, 0, 3, 1)),
+                    },
+                    PairedOutcome {
+                        equipped: outcome((7.0, 1.5, 0.25, 0, 3, 1)),
+                        unequipped: outcome((1.0, 2.0, 3.0, 4, 5, 6)),
+                    },
+                ],
+            },
+            ShardEvent::SplitChunk {
+                batch: 9,
+                indices: vec![2],
+                outcomes: RiggedSplits.run_splits(&[split_job]),
+            },
+            ShardEvent::MultiChunk {
+                batch: 10,
+                indices: vec![1],
+                outcomes: vec![rigged_multi(&multi_job)],
+            },
+        ],
+    }
+}
+
+/// Numbers the variants of each wire enum. These matches have no
+/// wildcard arm, so a new variant does not compile until it is numbered
+/// here, and `every_wire_variant_has_a_round_trip_sample` then fails
+/// until [`samples`] holds a message of it.
+fn request_tag(m: &Request) -> usize {
+    match m {
+        Request::Create { .. } => 0,
+        Request::Status { .. } => 1,
+        Request::Stream { .. } => 2,
+        Request::Pause { .. } => 3,
+        Request::Resume { .. } => 4,
+        Request::Cancel { .. } => 5,
+        Request::Shutdown => 6,
+    }
+}
+
+fn event_tag(m: &Event) -> usize {
+    match m {
+        Event::CampaignCreated { .. } => 0,
+        Event::CampaignStatus { .. } => 1,
+        Event::CampaignRound { .. } => 2,
+        Event::CampaignFinished { .. } => 3,
+        Event::CampaignFailed { .. } => 4,
+        Event::CampaignPaused { .. } => 5,
+        Event::CampaignResumed { .. } => 6,
+        Event::CampaignCancelled { .. } => 7,
+        Event::Error { .. } => 8,
+        Event::ShutdownAck => 9,
+    }
+}
+
+fn shard_request_tag(m: &ShardRequest) -> usize {
+    match m {
+        ShardRequest::RunPaired { .. } => 0,
+        ShardRequest::RunSplits { .. } => 1,
+        ShardRequest::RunMultis { .. } => 2,
+        ShardRequest::Shutdown => 3,
+    }
+}
+
+fn shard_event_tag(m: &ShardEvent) -> usize {
+    match m {
+        ShardEvent::PairedChunk { .. } => 0,
+        ShardEvent::SplitChunk { .. } => 1,
+        ShardEvent::MultiChunk { .. } => 2,
+    }
+}
+
+/// Round-trips every sample and checks that the samples' tags are
+/// exactly `0..variants`.
+fn assert_every_variant_round_trips<T: Serialize + Deserialize>(
+    samples: &[T],
+    tag: fn(&T) -> usize,
+    variants: usize,
+) {
+    samples.iter().for_each(roundtrip);
+    let tags: BTreeSet<usize> = samples.iter().map(tag).collect();
+    assert_eq!(tags, (0..variants).collect(), "one sample per variant");
+}
+
+#[test]
+fn every_wire_variant_has_a_round_trip_sample() {
+    let s = samples();
+    assert_every_variant_round_trips(&s.requests, request_tag, 7);
+    assert_every_variant_round_trips(&s.events, event_tag, 10);
+    assert_every_variant_round_trips(&s.shard_requests, shard_request_tag, 4);
+    assert_every_variant_round_trips(&s.shard_events, shard_event_tag, 3);
+}
+
+/// The same fixed-point oracle through a real TCP socket: what the
+/// framing writes, a socket peer reads back byte-identically.
+#[test]
+fn every_message_kind_survives_a_real_socket() {
+    let s = samples();
+    let lines: Vec<String> = (s.requests.iter().map(encode))
+        .chain(s.events.iter().map(encode))
+        .chain(s.shard_requests.iter().map(encode))
+        .chain(s.shard_events.iter().map(encode))
+        .collect();
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();

@@ -11,8 +11,7 @@
 //! * `BENCH_TARGET_MS` — sampling time budget per benchmark (default 300).
 
 #![deny(missing_docs)]
-// The criterion stand-in is a timing harness; Instant is its job.
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "a timing harness reads clocks")]
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

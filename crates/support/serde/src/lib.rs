@@ -230,10 +230,7 @@ impl Serialize for str {
 /// stand-in interns each distinct label once and hands out the leaked
 /// reference thereafter.
 impl Deserialize for &'static str {
-    // The intern table is lookup-only (never iterated), so hash
-    // ordering cannot leak into any output (audit rule A1 exempts the
-    // support stand-ins the same way).
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "lookup-only, so order never leaks")]
     fn deserialize(v: &Value) -> Result<Self, Error> {
         use std::collections::HashSet;
         use std::sync::{Mutex, OnceLock};

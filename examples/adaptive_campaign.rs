@@ -12,9 +12,7 @@
 //!
 //! Run with `cargo run --release --example adaptive_campaign [--full]`.
 
-// Examples report wall-clock runtimes to the operator; they are not
-// part of any deterministic replay path (audit rule A2 exempts them).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "examples time their own runs")]
 use uavca::encounter::{StatisticalEncounterModel, Stratification};
 use uavca::validation::{
     campaign_convergence_table, campaign_stratum_table, CampaignConfig, CampaignPlanner,

@@ -9,9 +9,7 @@
 //!
 //! Run with `cargo run --release --example ga_search [--full]`.
 
-// Examples report wall-clock runtimes to the operator; they are not
-// part of any deterministic replay path (audit rule A2 exempts them).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "examples time their own runs")]
 use uavca::validation::{EncounterRunner, SearchConfig, SearchHarness, TextTable};
 
 fn main() {

@@ -24,9 +24,7 @@
 //!
 //! [`MultiCampaignPlanner`]: uavca::validation::MultiCampaignPlanner
 
-// Examples report wall-clock runtimes to the operator; they are not
-// part of any deterministic replay path (audit rule A2 exempts them).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "examples time their own runs")]
 use uavca::encounter::MultiEncounterModel;
 use uavca::serve::{serve_shard_tcp, ShardedBackend};
 use uavca::sim::MultiMode;

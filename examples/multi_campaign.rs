@@ -21,9 +21,7 @@
 //! including the killed-and-resumed one — is byte-identical to its
 //! serial planner run, so CI smoke runs are a real oracle, not a demo.
 
-// Examples report wall-clock runtimes to the operator; they are not
-// part of any deterministic replay path (audit rule A2 exempts them).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "examples time their own runs")]
 use std::time::Instant;
 
 use uavca::encounter::{StatisticalEncounterModel, Stratification};

@@ -21,9 +21,7 @@
 //!   **byte-identical** to the local one. With this flag the example is
 //!   an oracle, not a demo: it exits nonzero on any divergence.
 
-// Examples report wall-clock runtimes to the operator; they are not
-// part of any deterministic replay path (audit rule A2 exempts them).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "examples time their own runs")]
 use uavca::encounter::{StatisticalEncounterModel, Stratification};
 use uavca::serve::ShardedBackend;
 use uavca::validation::{

@@ -9,9 +9,7 @@
 //!
 //! Run with `cargo run --release --example svo_search_2d`.
 
-// Examples report wall-clock runtimes to the operator; they are not
-// part of any deterministic replay path (audit rule A2 exempts them).
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "examples time their own runs")]
 use uavca::evo::{Bounds, GaConfig, GeneticAlgorithm, RandomSearch};
 use uavca::svo::{run_encounter_2d, Scenario2d, Sim2dConfig, SCENARIO_2D_BOUNDS};
 use uavca::validation::TextTable;
